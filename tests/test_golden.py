@@ -1,0 +1,138 @@
+"""Byte-for-byte golden tests of every CLI artifact, report and error.
+
+Each case runs ``hypergrowth.cli.main`` in process inside a scratch
+directory with relative paths only, so reports embed no absolute paths.
+Every file the cases leave behind, plus each case's exit code and stdout,
+must equal the files under ``tests/golden/``. To regenerate them from a
+commit whose output is trusted:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from hypergrowth import TimeSeries, write_csv
+from hypergrowth.cli import _write_table, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+F = ["--a", "4.5", "--k", "2.2e-3"]
+G = ["--a", "7.0", "--k", "3.35e-3"]
+H = ["--a", "3.0", "--k", "1.6e-3"]
+F_G_PARAMS = ["--f-a", "4.5", "--f-k", "2.2e-3", "--g-a", "7.0", "--g-k", "3.35e-3"]
+GRID = ["--grid-points", "16"]
+
+# (case name, argv). Later cases read the CSVs the synth cases write.
+CLI_CASES = [
+    ("synth_f", ["synth", *F, "--from", "0", "--to", "2000", "--step", "50",
+                 "--noise", "0.01", "--seed", "3", "--out", "f.csv"]),
+    ("synth_g", ["synth", *G, "--from", "0", "--to", "2000", "--step", "50",
+                 "--noise", "0.01", "--seed", "4", "--out", "g.csv"]),
+    ("synth_h", ["synth", *H, "--from", "0", "--to", "1800", "--step", "25",
+                 "--noise", "0.02", "--seed", "5", "--out-dir", "synth_h"]),
+    ("downsample", ["downsample", "f.csv", "--years", "0", "500", "1000", "1500",
+                    "2000", "--out-dir", "downsample"]),
+    ("fit", ["fit", "f.csv", "--out-dir", "fit", *GRID]),
+    ("fit_json", ["fit", "f.csv", "--format", "json", "--window", "500", "2000",
+                  "--weighting", "size_squared", "--out-dir", "fit_json", *GRID]),
+    ("ratio", ["ratio", "f.csv", "g.csv", "--out-dir", "ratio", *GRID]),
+    ("diagnose_data", ["diagnose", "--gdp", "f.csv", "--pop", "g.csv",
+                       "--series", "synth_h/synthetic.csv", "--levels", "1.6", "2", "5",
+                       "--candidates", "1000", "1750", "1870", "1990",
+                       "--out-dir", "diagnose_data", *GRID]),
+    ("diagnose_params", ["diagnose", *F_G_PARAMS, "--grid-from", "1000",
+                         "--out-dir", "diagnose_params", *GRID]),
+    ("error_parse", ["fit", "bad.csv", "--out-dir", "error_parse", *GRID]),
+    ("error_level", ["diagnose", *F_G_PARAMS, "--levels", "1.0",
+                     "--out-dir", "error_level", *GRID]),
+    ("error_synth_domain", ["synth", *F, "--from", "0", "--to", "2100", "--step", "50",
+                            "--out-dir", "error_synth_domain"]),
+    ("error_ratio_domain", ["ratio", "f.csv", "g.csv", "--grid-to", "3000",
+                            "--out-dir", "error_ratio_domain", *GRID]),
+]
+
+# Float edge values: subnormals, extremes of range, integers, negative zero.
+EDGE_YEARS = [-1e300, -0.0, 1, 1000, 2000, 123456789012345, 1e300]
+EDGE_VALUES = [5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3, 1e300, 1.7976931348623157e308]
+EDGE_COLUMNS = [
+    [-1e300, -0.0, 0.0, 1, 1000, 2000, 123456789012345, 1e300, 1.7976931348623157e308],
+    [5e-324, -5e-324, 1e-300, 2.2250738585072014e-308, 0.1, 1 / 3, 2 / 3, 1e300, -1e-300],
+    [float("inf"), float("-inf"), float("nan"), -0.0, -1, 7, 0.5, 1e16, 123456.7890123456],
+]
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def run_cli_cases() -> dict[str, bytes]:
+    """Run every CLI case in the current directory; return all outputs by name."""
+    Path("bad.csv").write_text("year,value\n1,1\n2,oops\n", encoding="utf-8")
+    outputs = {}
+    for name, argv in CLI_CASES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        outputs[f"{name}.stdout"] = f"exit {code}\n{buf.getvalue()}".encode()
+    outputs.update(_tree(Path(".")))
+    return outputs
+
+
+def run_edge_cases() -> dict[str, bytes]:
+    """Write the edge values through both CSV writers and the JSON table path."""
+    out = Path("edge")
+    out.mkdir()
+    write_csv(TimeSeries(years=EDGE_YEARS, values=EDGE_VALUES), out / "series.csv")
+    for fmt in ("csv", "json"):
+        _write_table(out, "table", ["x", "y", "z"], EDGE_COLUMNS, fmt)
+    return _tree(out)
+
+
+def _assert_matches(actual: dict[str, bytes], golden_dir: Path) -> None:
+    expected = _tree(golden_dir)
+    assert sorted(actual) == sorted(expected)
+    differing = [name for name in expected if actual[name] != expected[name]]
+    assert not differing, f"outputs differ from {golden_dir}: {differing}"
+
+
+def test_cli_outputs_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _assert_matches(run_cli_cases(), GOLDEN / "cli")
+
+
+def test_edge_values_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _assert_matches(run_edge_cases(), GOLDEN / "edge")
+
+
+def _regenerate() -> None:
+    for kind, run in (("cli", run_cli_cases), ("edge", run_edge_cases)):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            try:
+                outputs = run()
+            finally:
+                os.chdir(cwd)
+        target = GOLDEN / kind
+        shutil.rmtree(target, ignore_errors=True)
+        for name, data in outputs.items():
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            (target / name).write_bytes(data)
+        print(f"wrote {len(outputs)} files under {target}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()
