@@ -43,14 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .fitting import HyperbolicFit, RatioFit, fit_hyperbolic, fit_ratio, predict
-from .ingest import (
-    Dataset,
-    derive_per_capita,
-    parse_csv,
-    serialize_csv,
-    synthesize,
-    write_csv,
-)
+from .ingest import parse_csv, synthesize, write_csv
 from .ratio import (
     PATHWAYS,
     RatioModel,
@@ -65,58 +58,3 @@ from .ratio import (
 from .series import TimeSeries
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "SINGULARITY_GUARD",
-    "HyperbolicParams",
-    "derivative",
-    "eval_hyperbolic",
-    "growth_rate",
-    "inverse_time",
-    "reciprocal_value",
-    "singularity_time",
-    "PATHWAYS",
-    "RatioModel",
-    "Shape",
-    "classify_shape",
-    "eval_ratio",
-    "make_ratio",
-    "ratio_gradient",
-    "ratio_growth_rate",
-    "time_at_ratio",
-    "TimeSeries",
-    "HyperbolicFit",
-    "RatioFit",
-    "fit_hyperbolic",
-    "fit_ratio",
-    "predict",
-    "DEFAULT_BREAK_CANDIDATES",
-    "INDUSTRIAL_REVOLUTION_WINDOW",
-    "BreakDecision",
-    "BreakTestResult",
-    "DiagnosticsCurve",
-    "Monotonicity",
-    "MonotonicityResult",
-    "TakeoffScanEntry",
-    "break_test",
-    "curves_vs_size",
-    "gradient_curve",
-    "growth_rate_curve",
-    "monotonicity_check",
-    "series_growth_rate",
-    "takeoff_scan",
-    "Dataset",
-    "derive_per_capita",
-    "parse_csv",
-    "serialize_csv",
-    "synthesize",
-    "write_csv",
-    "HypergrowthError",
-    "DataError",
-    "DomainError",
-    "FitRejectedError",
-    "InsufficientDataError",
-    "NoSolutionError",
-    "ParseError",
-    "ValidationError",
-]

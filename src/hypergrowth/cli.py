@@ -14,14 +14,14 @@ configuration under ``config``. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import SINGULARITY_GUARD, HyperbolicParams
+from .core import HyperbolicParams, last_guarded_time
 from .diagnostics import (
     DEFAULT_BREAK_CANDIDATES,
     INDUSTRIAL_REVOLUTION_WINDOW,
@@ -34,7 +34,7 @@ from .diagnostics import (
 )
 from .errors import DataError, DomainError, ValidationError
 from .fitting import WEIGHTINGS, HyperbolicFit, fit_hyperbolic, fit_ratio, predict
-from .ingest import FLOAT_FORMAT, parse_csv, synthesize, write_csv
+from .ingest import parse_csv, synthesize, write_columns, write_csv
 from .ratio import RatioModel, classify_shape, eval_ratio, make_ratio
 from .series import TimeSeries
 
@@ -61,20 +61,8 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return format(float(x), FLOAT_FORMAT)
-
-
-def _guard_time(p: HyperbolicParams) -> float:
-    """Latest representable time still inside the singularity guard."""
-    end = p.singularity_time * (1.0 - SINGULARITY_GUARD)
-    while p.a - p.k * end < SINGULARITY_GUARD * p.a:
-        end = float(np.nextafter(end, -np.inf))
-    return end
-
-
 def _model_guard_time(m: RatioModel) -> float:
-    return min(_guard_time(m.f), _guard_time(m.g))
+    return min(last_guarded_time(m.f), last_guarded_time(m.g))
 
 
 def _resolve_grid(args, default_start: float, default_end: float) -> np.ndarray:
@@ -120,16 +108,10 @@ def _model_summary(m: RatioModel) -> dict:
 
 def _write_table(out_dir: Path, stem: str, header: list[str], columns, fmt: str) -> str:
     """Write parallel columns as CSV or JSON; returns the file name."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    name = f"{stem}.{fmt}"
     if fmt == "csv":
-        name = f"{stem}.csv"
-        with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in zip(*columns):
-                writer.writerow([_fmt(x) for x in row])
+        write_columns(out_dir / name, header, columns)
     else:
-        name = f"{stem}.json"
         payload = {key: [float(x) for x in col] for key, col in zip(header, columns)}
         _write_json(out_dir / name, payload)
     return name
@@ -179,7 +161,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     series = _load_series(args.input, args)
     fit = fit_hyperbolic(series, weighting=args.weighting)
-    grid = _resolve_grid(args, float(series.years[0]), _guard_time(fit.params))
+    grid = _resolve_grid(args, float(series.years[0]), last_guarded_time(fit.params))
     curve = predict(fit, grid, name=f"{series.name} fitted")
     curve_file = _write_table(
         out, "fitted_curve", ["year", "value"], [curve.years, curve.values], args.format
@@ -242,29 +224,6 @@ def cmd_ratio(args) -> int:
     }
     _emit_report(out, "ratio_report.json", report)
     return EXIT_OK
-
-
-def _scan_to_json(entries) -> list[dict]:
-    out = []
-    for entry in entries:
-        item: dict = {"candidate_year": entry.candidate_year}
-        if entry.result is not None:
-            r = entry.result
-            item["result"] = {
-                "break_year": r.break_year,
-                "sse_single": r.sse_single,
-                "sse_segmented": r.sse_segmented,
-                "f_statistic": r.f_statistic,
-                "p_value": r.p_value,
-                "decision": r.decision.value,
-                "alpha": r.alpha,
-            }
-            item["error"] = None
-        else:
-            item["result"] = None
-            item["error"] = entry.error
-        out.append(item)
-    return out
 
 
 def cmd_diagnose(args) -> int:
@@ -353,7 +312,10 @@ def cmd_diagnose(args) -> int:
         list(DEFAULT_BREAK_CANDIDATES) if args.candidates is None else args.candidates
     )
     break_tests = {
-        target.name: _scan_to_json(takeoff_scan(target, candidates, alpha=args.alpha))
+        target.name: [
+            dataclasses.asdict(entry)
+            for entry in takeoff_scan(target, candidates, alpha=args.alpha)
+        ]
         for target in break_targets
     }
 

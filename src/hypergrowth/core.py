@@ -56,15 +56,31 @@ def reciprocal_value(p: HyperbolicParams, t):
     return p.a - p.k * np.asarray(t, dtype=float)
 
 
+def past_guard(p: HyperbolicParams, t):
+    """Mask of times at or past the singularity guard.
+
+    True where a - k*t < SINGULARITY_GUARD*a, i.e. where the trajectory is
+    not evaluated. NaN times are never flagged, so they propagate as NaN.
+    """
+    return reciprocal_value(p, t) < SINGULARITY_GUARD * p.a
+
+
+def last_guarded_time(p: HyperbolicParams) -> float:
+    """Latest representable time still inside the singularity guard."""
+    end = p.singularity_time * (1.0 - SINGULARITY_GUARD)
+    while past_guard(p, end):
+        end = float(np.nextafter(end, -np.inf))
+    return end
+
+
 def _guarded_line(p: HyperbolicParams, t):
     """a - k*t, raising DomainError at or past the singularity guard."""
-    lin = reciprocal_value(p, t)
-    if np.any(lin < SINGULARITY_GUARD * p.a):
+    if np.any(past_guard(p, t)):
         raise DomainError(
             f"time at or beyond the singularity guard "
             f"(singularity at t_s={p.singularity_time:.6g})"
         )
-    return lin
+    return reciprocal_value(p, t)
 
 
 def eval_hyperbolic(p: HyperbolicParams, t):
@@ -98,11 +114,3 @@ def growth_rate(p: HyperbolicParams, t):
     """Relative growth rate f'/f = k/(a - k*t); positive and increasing."""
     return p.k / _guarded_line(p, t)
 
-
-def finite_difference_step(p: HyperbolicParams, t) -> float:
-    """Central-difference step for validating analytic derivatives.
-
-    h = max(1e-4, 1e-6 * (t_s - t)) balances truncation against rounding
-    as the trajectory steepens toward the singularity.
-    """
-    return max(1e-4, 1e-6 * (p.singularity_time - float(t)))

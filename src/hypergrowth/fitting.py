@@ -4,8 +4,9 @@ A hyperbolic growth trajectory is uniquely identified by its reciprocal
 values, which fall on the straight line a - k*t. Fitting therefore reduces
 to a line fit of 1/y against t: the intercept estimates a, the negated
 slope estimates k, and the singularity time follows as a/k. Data whose
-reciprocal regression does not produce a positive intercept and a negative
-slope are not hyperbolic-growth-shaped and are rejected rather than forced.
+reciprocal regression does not produce a finite positive intercept and a
+finite negative slope are not hyperbolic-growth-shaped and are rejected
+rather than forced.
 
 Two weighting modes are supported. ``unweighted`` is ordinary least squares
 in reciprocal space; ``size_squared`` weights each squared reciprocal
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SINGULARITY_GUARD, HyperbolicParams, eval_hyperbolic, reciprocal_value
+from .core import HyperbolicParams, eval_hyperbolic
+from .core import reciprocal_value  # noqa: F401  (bench/tracing.py wraps this attribute)
 from .errors import FitRejectedError, InsufficientDataError
-from .ratio import RatioModel, eval_ratio, make_ratio
+from .ratio import RatioModel, eval_ratio, make_ratio, past_domain
 from .series import TimeSeries
 
 WEIGHTINGS = ("unweighted", "size_squared")
@@ -100,7 +102,7 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
 
     intercept, slope = _weighted_line(t, z, w)
     a_hat, k_hat = intercept, -slope
-    if a_hat <= 0 or k_hat <= 0:
+    if not (np.isfinite(a_hat) and np.isfinite(k_hat) and a_hat > 0 and k_hat > 0):
         raise FitRejectedError(
             f"series {series.name!r}: reciprocal regression gave a={a_hat:.6g}, "
             f"k={k_hat:.6g}; data is not hyperbolic-growth-shaped"
@@ -146,9 +148,7 @@ def fit_ratio(
         )
     observed = numerator.values[num_idx] / denominator.values[den_idx]
 
-    in_domain = (reciprocal_value(model.f, common) >= SINGULARITY_GUARD * model.f.a) & (
-        reciprocal_value(model.g, common) >= SINGULARITY_GUARD * model.g.a
-    )
+    in_domain = ~past_domain(model, common)
     common = common[in_domain]
     observed = observed[in_domain]
     predicted = np.atleast_1d(np.asarray(eval_ratio(model, common), dtype=float))

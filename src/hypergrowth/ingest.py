@@ -1,4 +1,4 @@
-"""CSV ingestion, per-capita derivation, and synthetic series generation.
+"""CSV ingestion and output, and synthetic series generation.
 
 Input schema: UTF-8 CSV with a header row, configurable year/value column
 names (defaults ``year`` and ``value``), ``.`` decimal separator. Rows may
@@ -10,23 +10,17 @@ the expected shape of real input.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import HyperbolicParams, eval_hyperbolic
-from .errors import DataError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .series import TimeSeries
 
 # Numeric output formatting: up to 12 significant digits, enough to
 # round-trip far beyond the precision of any historical table.
 FLOAT_FORMAT = ".12g"
-
-
-def _format(x: float) -> str:
-    return format(float(x), FLOAT_FORMAT)
 
 
 def parse_csv(
@@ -45,7 +39,7 @@ def parse_csv(
         path = Path(source)
         if name is None:
             name = path.stem
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return _parse_stream(fh, year_col, value_col, name, unit_label)
     return _parse_stream(source, year_col, value_col, name or "", unit_label)
 
@@ -80,7 +74,9 @@ def _parse_stream(fh, year_col, value_col, name, unit_label) -> TimeSeries:
         if y1 == y0:
             raise ValidationError(f"line {ln}: duplicate year {y1:g}")
     for year, value, lineno in rows:
-        if not np.isfinite(value) or value <= 0:
+        if not np.isfinite(value):
+            raise ValidationError(f"line {lineno}: non-finite value {value:g} at year {year:g}")
+        if value <= 0:
             raise ValidationError(f"line {lineno}: non-positive value {value:g} at year {year:g}")
     return TimeSeries(
         years=[r[0] for r in rows],
@@ -97,64 +93,22 @@ def write_csv(
     value_col: str = "value",
 ) -> None:
     """Write a TimeSeries as CSV, 12 significant digits per number."""
+    write_columns(dest, [year_col, value_col], [series.years, series.values])
+
+
+def write_columns(dest, header: list[str], columns) -> None:
+    """Write parallel numeric columns as CSV to a path or text stream.
+
+    Every number is formatted with FLOAT_FORMAT; rows end in a bare newline.
+    """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_stream(series, fh, year_col, value_col)
-    else:
-        _write_stream(series, dest, year_col, value_col)
-
-
-def _write_stream(series, fh, year_col, value_col):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow([year_col, value_col])
-    for year, value in zip(series.years, series.values):
-        writer.writerow([_format(year), _format(value)])
-
-
-def serialize_csv(series: TimeSeries, year_col: str = "year", value_col: str = "value") -> str:
-    """CSV text for a series; inverse of :func:`parse_csv` up to formatting."""
-    buf = io.StringIO()
-    _write_stream(series, buf, year_col, value_col)
-    return buf.getvalue()
-
-
-def derive_per_capita(gdp: TimeSeries, population: TimeSeries) -> TimeSeries:
-    """Pointwise quotient gdp/population on the years common to both series."""
-    common, gdp_idx, pop_idx = np.intersect1d(
-        gdp.years, population.years, return_indices=True
-    )
-    if common.size == 0:
-        raise DataError(
-            f"series {gdp.name!r} and {population.name!r} share no common years"
-        )
-    values = gdp.values[gdp_idx] / population.values[pop_idx]
-    if gdp.unit_label and population.unit_label:
-        unit = f"{gdp.unit_label} per {population.unit_label}"
-    else:
-        unit = gdp.unit_label or population.unit_label
-    name = f"{gdp.name}/{population.name}" if gdp.name or population.name else "per capita"
-    return TimeSeries(years=common, values=values, name=name, unit_label=unit)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A GDP series, a population series, and their derived per-capita series."""
-
-    gdp: TimeSeries
-    population: TimeSeries
-    gdp_per_capita: TimeSeries
-    provenance: str = ""
-
-    @classmethod
-    def from_series(
-        cls, gdp: TimeSeries, population: TimeSeries, provenance: str = ""
-    ) -> "Dataset":
-        return cls(
-            gdp=gdp,
-            population=population,
-            gdp_per_capita=derive_per_capita(gdp, population),
-            provenance=provenance,
-        )
+            write_columns(fh, header, columns)
+        return
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(header)
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    writer.writerows([format(x, FLOAT_FORMAT) for x in row] for row in rows)
 
 
 def synthesize(

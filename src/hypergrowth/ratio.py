@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SINGULARITY_GUARD, HyperbolicParams, eval_hyperbolic, reciprocal_value
+from .core import HyperbolicParams, eval_hyperbolic, past_guard, reciprocal_value
 from .errors import DomainError, NoSolutionError
 
 #: Pathways for evaluating the ratio; all agree to rounding error.
@@ -68,22 +68,22 @@ def make_ratio(f: HyperbolicParams, g: HyperbolicParams) -> RatioModel:
     return RatioModel(f=f, g=g)
 
 
-def _guarded_lines(m: RatioModel, t):
-    """Both reciprocal lines at t, raising DomainError past the model domain.
+def past_domain(m: RatioModel, t):
+    """Mask of times at or past either trajectory's singularity guard.
 
-    Requires each line to stay above its own singularity guard; the binding
-    constraint is the earlier of the two singularities.
+    The binding constraint is the earlier of the two singularities.
     """
-    lin_f = reciprocal_value(m.f, t)
-    lin_g = reciprocal_value(m.g, t)
-    if np.any(lin_f < SINGULARITY_GUARD * m.f.a) or np.any(
-        lin_g < SINGULARITY_GUARD * m.g.a
-    ):
+    return past_guard(m.f, t) | past_guard(m.g, t)
+
+
+def _guarded_lines(m: RatioModel, t):
+    """Both reciprocal lines at t, raising DomainError past the model domain."""
+    if np.any(past_domain(m, t)):
         raise DomainError(
             f"time at or beyond the ratio domain "
             f"(earliest singularity at t_s={m.domain_end:.6g})"
         )
-    return lin_f, lin_g
+    return reciprocal_value(m.f, t), reciprocal_value(m.g, t)
 
 
 def eval_ratio(m: RatioModel, t, pathway: str = "direct"):
@@ -138,9 +138,7 @@ def time_at_ratio(m: RatioModel, level: float) -> float:
             f"level {level:g} equals the asymptotic ratio k_g/k_f and is never attained"
         )
     t = (level * m.f.a - m.g.a) / denom
-    lin_f = reciprocal_value(m.f, t)
-    lin_g = reciprocal_value(m.g, t)
-    if lin_f < SINGULARITY_GUARD * m.f.a or lin_g < SINGULARITY_GUARD * m.g.a:
+    if past_domain(m, t):
         raise NoSolutionError(
             f"level {level:g} is only attained at t={t:.6g}, at or beyond the "
             f"ratio domain (earliest singularity at t_s={m.domain_end:.6g})"

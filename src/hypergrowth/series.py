@@ -59,21 +59,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.years.size
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        """Observations as (year, value) tuples."""
-        return list(zip(self.years.tolist(), self.values.tolist()))
-
-    @classmethod
-    def from_points(
-        cls, points, name: str = "", unit_label: str = ""
-    ) -> "TimeSeries":
-        """Build a series from an iterable of (year, value) pairs."""
-        pts = list(points)
-        years = [p[0] for p in pts]
-        values = [p[1] for p in pts]
-        return cls(years=years, values=values, name=name, unit_label=unit_label)
-
     def restrict(self, lo: float | None = None, hi: float | None = None) -> "TimeSeries":
         """Sub-series with years in [lo, hi] (either bound may be open)."""
         mask = np.ones(len(self), dtype=bool)

@@ -34,3 +34,12 @@ def random_params(rng: np.random.Generator, t_s_range=(50.0, 5000.0)) -> Hyperbo
     a = 10.0 ** rng.uniform(-2, 2)
     t_s = rng.uniform(*t_s_range)
     return HyperbolicParams(a=a, k=a / t_s)
+
+
+def finite_difference_step(p: HyperbolicParams, t) -> float:
+    """Central-difference step for validating analytic derivatives.
+
+    h = max(1e-4, 1e-6 * (t_s - t)) balances truncation against rounding
+    as the trajectory steepens toward the singularity.
+    """
+    return max(1e-4, 1e-6 * (p.singularity_time - float(t)))

@@ -116,6 +116,18 @@ class TestFit:
         assert payload["error"]["type"] == "ParseError"
         assert "line 3" in payload["error"]["message"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weights_exit_2(self, tmp_path, capsys):
+        # y**2 overflows to inf near 1e196, so the weighted fit is NaN.
+        data = tmp_path / "huge.csv"
+        rows = "".join(f"{i},{1e196 * (1 + 0.1 * i):.6g}\n" for i in range(5))
+        data.write_text("year,value\n" + rows)
+        code, out = run_cli(
+            capsys, "fit", str(data), "--weighting", "size_squared", "--out-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "FitRejectedError"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, out = run_cli(capsys, "fit", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path))
         assert code == 2

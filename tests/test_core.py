@@ -13,7 +13,8 @@ from hypergrowth import (
     reciprocal_value,
     singularity_time,
 )
-from hypergrowth.core import finite_difference_step
+
+from conftest import finite_difference_step
 
 
 def hyperbolic_params():

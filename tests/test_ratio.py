@@ -15,10 +15,9 @@ from hypergrowth import (
     ratio_growth_rate,
     time_at_ratio,
 )
-from hypergrowth.core import finite_difference_step
 from hypergrowth.ratio import PATHWAYS
 
-from conftest import F_PARAMS, G_PARAMS
+from conftest import F_PARAMS, G_PARAMS, finite_difference_step
 
 
 def ratio_models():
