@@ -74,14 +74,7 @@ def _resolve_grid(args, default_start: float, default_end: float) -> np.ndarray:
 
 
 def _config_echo(args) -> dict:
-    config = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        config[key] = value
-    return config
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def _fit_summary(fit: HyperbolicFit) -> dict:
@@ -112,29 +105,34 @@ def _write_table(out_dir: Path, stem: str, header: list[str], columns, fmt: str)
     if fmt == "csv":
         write_columns(out_dir / name, header, columns)
     else:
-        payload = {key: [float(x) for x in col] for key, col in zip(header, columns)}
-        _write_json(out_dir / name, payload)
+        _write_json(out_dir / name, _json_table(dict(zip(header, columns))))
     return name
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json_table(table: dict) -> str:
+    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline, C-encoded."""
+    fields = []
+    for key in sorted(table):
+        body = json.dumps(np.asarray(table[key], dtype=float).tolist())
+        if body != "[]":
+            body = "[\n    " + body[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        fields.append(f"  {json.dumps(key)}: {body}")
+    return "{\n" + ",\n".join(fields) + "\n}\n" if fields else "{}\n"
+
+
+def _write_json(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8")
 
 
 def _emit_report(out_dir: Path, name: str, report: dict) -> None:
-    _write_json(out_dir / name, report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    text = json.dumps(report, indent=2, sort_keys=True)
+    _write_json(out_dir / name, text + "\n")
+    print(text)
 
 
 def _emit_error(exc: Exception, exit_code: int) -> int:
-    payload = {
-        "error": {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": exit_code,
-        }
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
+    print(json.dumps({"error": error}, indent=2, sort_keys=True))
     return exit_code
 
 
@@ -384,6 +382,21 @@ def cmd_downsample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse ``type``: ``convert`` the text, then reject values not ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_GRID_POINTS = _checked(int, lambda n: n >= 2, "at least 2")
+_ALPHA = _checked(float, lambda a: 0 < a < 1, "in (0, 1)")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for emitted artifacts")
     p.add_argument("--year-col", default="year", help="CSV year column name")
@@ -394,7 +407,7 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-from", type=float, default=None, help="curve grid start year")
     p.add_argument("--grid-to", type=float, default=None, help="curve grid end year")
     p.add_argument(
-        "--grid-points", type=int, default=DEFAULT_GRID_POINTS, help="curve grid size"
+        "--grid-points", type=_GRID_POINTS, default=DEFAULT_GRID_POINTS, help="curve grid size"
     )
     p.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="curve artifact format"
@@ -453,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="candidate break years (default: 1750 1870; pass no values to skip)",
     )
-    p.add_argument("--alpha", type=float, default=0.05, help="break-test significance")
+    p.add_argument("--alpha", type=_ALPHA, default=0.05, help="break-test significance")
     p.add_argument(
         "--levels",
         nargs="+",

@@ -100,15 +100,16 @@ def write_columns(dest, header: list[str], columns) -> None:
     """Write parallel numeric columns as CSV to a path or text stream.
 
     Every number is formatted with FLOAT_FORMAT; rows end in a bare newline.
+    Only the header can need quoting, so rows go through one %-template.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_columns(fh, header, columns)
         return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(header)
+    csv.writer(dest, lineterminator="\n").writerow(header)
+    template = ",".join(["%" + FLOAT_FORMAT] * len(columns)) + "\n"
     rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    writer.writerows([format(x, FLOAT_FORMAT) for x in row] for row in rows)
+    dest.writelines(map(template.__mod__, rows))
 
 
 def synthesize(

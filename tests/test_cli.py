@@ -418,6 +418,52 @@ class TestUsageErrors:
         assert code == 1
 
 
+F_G_PARAMS = ["--f-a", "4.5", "--f-k", "2.2e-3", "--g-a", "7.0", "--g-k", "3.35e-3"]
+
+
+class TestParseTimeValidation:
+    """Bad --grid-points and --alpha fail in argparse: exit 1, usage, no artifact."""
+
+    def assert_rejected(self, tmp_path, capsys, argv, flag):
+        out_dir = tmp_path / "out"
+        capsys.readouterr()  # drop what setup printed
+        code = main([*argv, "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage:")
+        assert f"argument {flag}: must be" in captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("points", ["-5", "0"])
+    def test_fit_grid_below_two(self, tmp_path, capsys, points):
+        f = synth_file(tmp_path, "f.csv", F_PARAMS)
+        argv = ["fit", str(f), "--grid-points", points]
+        self.assert_rejected(tmp_path, capsys, argv, "--grid-points")
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_diagnose_grid_below_two(self, tmp_path, capsys, points):
+        argv = ["diagnose", *F_G_PARAMS, "--grid-points", points]
+        self.assert_rejected(tmp_path, capsys, argv, "--grid-points")
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.05", "nan"])
+    def test_alpha_outside_unit_interval(self, tmp_path, capsys, alpha):
+        argv = ["diagnose", *F_G_PARAMS, "--alpha", alpha]
+        self.assert_rejected(tmp_path, capsys, argv, "--alpha")
+
+    def test_non_numeric_grid_points_named(self, capsys):
+        assert main(["diagnose", *F_G_PARAMS, "--grid-points", "x"]) == 1
+        assert "argument --grid-points: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_two_point_grid_accepted(self, tmp_path, capsys):
+        code, _ = run_cli(
+            capsys, "diagnose", *F_G_PARAMS, "--grid-points", "2", "--alpha", "0.01",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert len((tmp_path / "gradient_curve.csv").read_text().splitlines()) == 3
+
+
 @pytest.mark.skipif(shutil.which("hypergrowth") is None, reason="entry point not installed")
 def test_console_script_smoke(tmp_path):
     result = subprocess.run(

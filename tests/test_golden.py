@@ -12,12 +12,17 @@ commit whose output is trusted:
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
 import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergrowth import TimeSeries, write_csv
 from hypergrowth.cli import _write_table, main
@@ -115,6 +120,47 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch):
 def test_edge_values_match_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _assert_matches(run_edge_cases(), GOLDEN / "edge")
+
+
+# Reference writers: the per-cell code the bulk writers replaced.
+def _oracle_csv(header, columns) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format(x, ".12g") for x in row] for row in zip(*columns))
+    return buf.getvalue().encode("utf-8")
+
+
+def _oracle_json(header, columns) -> bytes:
+    payload = {key: [float(x) for x in col] for key, col in zip(header, columns)}
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, float("inf"), float("-inf"), float("nan"), 1e16,
+               123456.7890123456]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+NAMES = st.text(st.characters(codec="utf-8") | st.sampled_from([",", '"', "é", "年"]), max_size=6)
+
+
+@st.composite
+def tables(draw):
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 50))
+    header = draw(st.lists(NAMES, min_size=n_cols, max_size=n_cols))
+    columns = [draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows)) for _ in header]
+    return header, columns
+
+
+@given(table=tables())
+@settings(max_examples=200, deadline=None)
+def test_bulk_writers_match_per_cell_oracle(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch)
+        for fmt, oracle in (("csv", _oracle_csv), ("json", _oracle_json)):
+            name = _write_table(out, "table", header, columns, fmt)
+            assert (out / name).read_bytes() == oracle(header, columns)
 
 
 def _regenerate() -> None:
