@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .core import HyperbolicParams, last_guarded_time
 from .diagnostics import (
     DEFAULT_BREAK_CANDIDATES,
     INDUSTRIAL_REVOLUTION_WINDOW,
+    DiagnosticsCurve,
     curves_vs_size,
     gradient_curve,
     growth_rate_curve,
@@ -107,6 +109,11 @@ def _write_table(out_dir: Path, stem: str, header: list[str], columns, fmt: str)
     else:
         _write_json(out_dir / name, _json_table(dict(zip(header, columns))))
     return name
+
+
+def _write_curve(out_dir: Path, stem: str, curve: DiagnosticsCurve, fmt: str) -> str:
+    x_name = "year" if curve.abscissa_kind == "time" else "ratio_size"
+    return _write_table(out_dir, stem, [x_name, curve.quantity], [curve.x, curve.values], fmt)
 
 
 def _json_table(table: dict) -> str:
@@ -253,16 +260,8 @@ def cmd_diagnose(args) -> int:
     grad = gradient_curve(model, grid)
     rate = growth_rate_curve(model, grid)
     artifacts = {
-        "gradient_curve": _write_table(
-            out, "gradient_curve", ["year", "gradient"], [grad.x, grad.values], args.format
-        ),
-        "growth_rate_curve": _write_table(
-            out,
-            "growth_rate_curve",
-            ["year", "growth_rate"],
-            [rate.x, rate.values],
-            args.format,
-        ),
+        "gradient_curve": _write_curve(out, "gradient_curve", grad, args.format),
+        "growth_rate_curve": _write_curve(out, "growth_rate_curve", rate, args.format),
     }
 
     monotonicity = {}
@@ -275,20 +274,8 @@ def cmd_diagnose(args) -> int:
 
     if args.levels:
         grad_vs, rate_vs = curves_vs_size(model, args.levels)
-        artifacts["gradient_vs_size"] = _write_table(
-            out,
-            "gradient_vs_size",
-            ["ratio_size", "gradient"],
-            [grad_vs.x, grad_vs.values],
-            args.format,
-        )
-        artifacts["growth_rate_vs_size"] = _write_table(
-            out,
-            "growth_rate_vs_size",
-            ["ratio_size", "growth_rate"],
-            [rate_vs.x, rate_vs.values],
-            args.format,
-        )
+        for stem, curve in (("gradient_vs_size", grad_vs), ("growth_rate_vs_size", rate_vs)):
+            artifacts[stem] = _write_curve(out, stem, curve, args.format)
 
     if data_mode:
         observed = series_growth_rate(
@@ -298,12 +285,8 @@ def cmd_diagnose(args) -> int:
                 name="observed ratio",
             )
         )
-        artifacts["observed_growth_rate"] = _write_table(
-            out,
-            "observed_growth_rate",
-            ["year", "growth_rate"],
-            [observed.x, observed.values],
-            args.format,
+        artifacts["observed_growth_rate"] = _write_curve(
+            out, "observed_growth_rate", observed, args.format
         )
 
     candidates = (
@@ -365,12 +348,7 @@ def cmd_downsample(args) -> int:
             + ", ".join(f"{y:g}" for y in missing)
         )
     mask = np.isin(series.years, wanted)
-    subset = TimeSeries(
-        years=series.years[mask],
-        values=series.values[mask],
-        name=series.name,
-        unit_label=series.unit_label,
-    )
+    subset = TimeSeries(years=series.years[mask], values=series.values[mask], name=series.name)
     dest = Path(args.out) if args.out else out / "downsampled.csv"
     write_csv(subset, dest, year_col=args.year_col, value_col=args.value_col)
     print(str(dest))
@@ -395,6 +373,7 @@ def _checked(convert, ok, rule: str):
 
 _GRID_POINTS = _checked(int, lambda n: n >= 2, "at least 2")
 _ALPHA = _checked(float, lambda a: 0 < a < 1, "in (0, 1)")
+_FINITE = _checked(float, math.isfinite, "finite")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -404,8 +383,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-from", type=float, default=None, help="curve grid start year")
-    p.add_argument("--grid-to", type=float, default=None, help="curve grid end year")
+    p.add_argument("--grid-from", type=_FINITE, default=None, help="curve grid start year")
+    p.add_argument("--grid-to", type=_FINITE, default=None, help="curve grid end year")
     p.add_argument(
         "--grid-points", type=_GRID_POINTS, default=DEFAULT_GRID_POINTS, help="curve grid size"
     )

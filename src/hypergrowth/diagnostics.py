@@ -21,7 +21,7 @@ import numpy as np
 from .errors import HypergrowthError, InsufficientDataError, ValidationError
 from .fitting import _line_sse
 from .ratio import RatioModel, ratio_gradient, ratio_growth_rate, time_at_ratio
-from .series import TimeSeries
+from .series import TimeSeries, _frozen_array
 from .special import f_survival
 
 ABSCISSA_KINDS = ("time", "ratio_size")
@@ -65,10 +65,8 @@ class DiagnosticsCurve:
             raise ValueError(f"abscissa_kind must be one of {ABSCISSA_KINDS}")
         if self.quantity not in QUANTITIES:
             raise ValueError(f"quantity must be one of {QUANTITIES}")
-        x = np.array(self.x, dtype=float).reshape(-1)
-        values = np.array(self.values, dtype=float).reshape(-1)
-        x.flags.writeable = False
-        values.flags.writeable = False
+        x = _frozen_array(self.x)
+        values = _frozen_array(self.values)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
         if x.shape != values.shape:

@@ -2,7 +2,8 @@
 
 Input schema: UTF-8 CSV with a header row, configurable year/value column
 names (defaults ``year`` and ``value``), ``.`` decimal separator. Rows may
-arrive in any order; they are sorted on load and duplicate years rejected.
+arrive in any order; they are sorted on load and checked by the invariant
+check ``TimeSeries`` uses, with the offending line named in any error.
 Historical tables with sparse benchmark years (AD 1, 1000, 1500, ...) are
 the expected shape of real input.
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import HyperbolicParams, eval_hyperbolic
 from .errors import ParseError, ValidationError
-from .series import TimeSeries
+from .series import TimeSeries, _first_fault
 
 # Numeric output formatting: up to 12 significant digits, enough to
 # round-trip far beyond the precision of any historical table.
@@ -28,23 +29,22 @@ def parse_csv(
     year_col: str = "year",
     value_col: str = "value",
     name: str | None = None,
-    unit_label: str = "",
 ) -> TimeSeries:
     """Parse a (year, value) CSV file or text stream into a TimeSeries.
 
-    Raises ParseError (with the offending line number) for malformed input
-    and ValidationError for rows that violate series invariants.
+    Raises ParseError for malformed input and ValidationError for rows that
+    violate series invariants; both name the offending line.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         if name is None:
             name = path.stem
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return _parse_stream(fh, year_col, value_col, name, unit_label)
-    return _parse_stream(source, year_col, value_col, name or "", unit_label)
+            return _parse_stream(fh, year_col, value_col, name)
+    return _parse_stream(source, year_col, value_col, name or "")
 
 
-def _parse_stream(fh, year_col, value_col, name, unit_label) -> TimeSeries:
+def _parse_stream(fh, year_col, value_col, name) -> TimeSeries:
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -55,35 +55,27 @@ def _parse_stream(fh, year_col, value_col, name, unit_label) -> TimeSeries:
         if col not in header:
             raise ParseError(f"line 1: missing column {col!r} in header {header}")
     iy, iv = header.index(year_col), header.index(value_col)
+    last = max(iy, iv)
 
-    rows: list[tuple[float, float, int]] = []
+    lines, years, values = [], [], []
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
+        if not "".join(row).strip():
             continue
-        if len(row) <= max(iy, iv):
+        if len(row) <= last:
             raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            year = float(row[iy])
-            value = float(row[iv])
+            years.append(float(row[iy]))
+            values.append(float(row[iv]))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        rows.append((year, value, lineno))
+        lines.append(lineno)
 
-    rows.sort(key=lambda r: r[0])
-    for (y0, _, _), (y1, _, ln) in zip(rows, rows[1:]):
-        if y1 == y0:
-            raise ValidationError(f"line {ln}: duplicate year {y1:g}")
-    for year, value, lineno in rows:
-        if not np.isfinite(value):
-            raise ValidationError(f"line {lineno}: non-finite value {value:g} at year {year:g}")
-        if value <= 0:
-            raise ValidationError(f"line {lineno}: non-positive value {value:g} at year {year:g}")
-    return TimeSeries(
-        years=[r[0] for r in rows],
-        values=[r[1] for r in rows],
-        name=name,
-        unit_label=unit_label,
-    )
+    order = np.argsort(years, kind="stable")
+    years, values = np.take(years, order), np.take(values, order)
+    fault = _first_fault(years, values)
+    if fault is not None:
+        raise ValidationError(f"line {lines[order[fault[0]]]}: {fault[1]}")
+    return TimeSeries(years=years, values=values, name=name)
 
 
 def write_csv(
@@ -118,7 +110,6 @@ def synthesize(
     noise_sigma: float = 0.0,
     seed: int | None = None,
     name: str = "synthetic",
-    unit_label: str = "",
 ) -> TimeSeries:
     """Sample a hyperbolic trajectory on ``grid``, optionally with noise.
 
@@ -135,4 +126,4 @@ def synthesize(
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         values = values * np.exp(rng.normal(0.0, noise_sigma, size=values.shape))
-    return TimeSeries(years=grid, values=values, name=name, unit_label=unit_label)
+    return TimeSeries(years=grid, values=values, name=name)

@@ -1,8 +1,8 @@
 """Ordered (year, value) observation series.
 
 Years are continuous real numbers (AD era, fractional years allowed) and
-must be strictly increasing; values must be positive and finite. Instances
-are immutable: the backing arrays are copied and marked read-only.
+must be finite and strictly increasing; values must be positive and finite.
+Instances are immutable: the backing arrays are copied and marked read-only.
 """
 
 from __future__ import annotations
@@ -20,19 +20,41 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _first_fault(years: np.ndarray, values: np.ndarray) -> tuple[int, str] | None:
+    """Index and message of the first row that breaks a series invariant.
+
+    Checks run in a fixed order: finite years, strictly increasing years,
+    then finite positive values; within each, the first offending row wins.
+    Neighbours are compared rather than subtracted, so no check can overflow.
+    """
+    bad = ~np.isfinite(years)
+    if bad.any():
+        i = int(bad.argmax())
+        return i, f"non-finite year {years[i]:g}"
+    bad = years[1:] <= years[:-1]
+    if bad.any():
+        i = int(bad.argmax()) + 1
+        word = "duplicate" if years[i] == years[i - 1] else "decreasing"
+        return i, f"{word} year {years[i]:g}"
+    bad = ~np.isfinite(values) | (values <= 0)
+    if bad.any():
+        i = int(bad.argmax())
+        word = "non-positive" if np.isfinite(values[i]) else "non-finite"
+        return i, f"{word} value {values[i]:g} at year {years[i]:g}"
+    return None
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Observations of one quantity over historical time.
 
-    ``unit_label`` is free text, e.g. "billions of 1990 International
-    Geary-Khamis dollars". Empty series are allowed (e.g. predictions over
-    an empty grid); fitting imposes its own minimum-size requirement.
+    Empty series are allowed (e.g. predictions over an empty grid); fitting
+    imposes its own minimum-size requirement.
     """
 
     years: np.ndarray
     values: np.ndarray
     name: str = ""
-    unit_label: str = ""
 
     def __post_init__(self):
         years = _frozen_array(self.years)
@@ -43,18 +65,9 @@ class TimeSeries:
             raise ValidationError(
                 f"series {self.name!r}: {years.size} years but {values.size} values"
             )
-        if not (np.all(np.isfinite(years)) and np.all(np.isfinite(values))):
-            raise ValidationError(f"series {self.name!r}: non-finite entries")
-        if np.any(values <= 0):
-            bad = years[values <= 0][0]
-            raise ValidationError(
-                f"series {self.name!r}: non-positive value at year {bad:g}"
-            )
-        if years.size > 1 and np.any(np.diff(years) <= 0):
-            bad = years[1:][np.diff(years) <= 0][0]
-            raise ValidationError(
-                f"series {self.name!r}: years not strictly increasing at year {bad:g}"
-            )
+        fault = _first_fault(years, values)
+        if fault is not None:
+            raise ValidationError(f"series {self.name!r}: {fault[1]}")
 
     def __len__(self) -> int:
         return self.years.size
@@ -66,9 +79,4 @@ class TimeSeries:
             mask &= self.years >= lo
         if hi is not None:
             mask &= self.years <= hi
-        return TimeSeries(
-            years=self.years[mask],
-            values=self.values[mask],
-            name=self.name,
-            unit_label=self.unit_label,
-        )
+        return TimeSeries(years=self.years[mask], values=self.values[mask], name=self.name)

@@ -422,7 +422,10 @@ F_G_PARAMS = ["--f-a", "4.5", "--f-k", "2.2e-3", "--g-a", "7.0", "--g-k", "3.35e
 
 
 class TestParseTimeValidation:
-    """Bad --grid-points and --alpha fail in argparse: exit 1, usage, no artifact."""
+    """Bad --grid-points, --alpha, --grid-from/--grid-to fail in argparse.
+
+    Each exits 1 with a usage message and writes no artifact.
+    """
 
     def assert_rejected(self, tmp_path, capsys, argv, flag):
         out_dir = tmp_path / "out"
@@ -450,6 +453,19 @@ class TestParseTimeValidation:
     def test_alpha_outside_unit_interval(self, tmp_path, capsys, alpha):
         argv = ["diagnose", *F_G_PARAMS, "--alpha", alpha]
         self.assert_rejected(tmp_path, capsys, argv, "--alpha")
+
+    @pytest.mark.parametrize("command", ["fit", "ratio", "diagnose"])
+    @pytest.mark.parametrize(
+        "bound",
+        [["--grid-from", "nan"], ["--grid-from=-inf"], ["--grid-to", "nan"]],
+        ids=["from-nan", "from-minus-inf", "to-nan"],
+    )
+    def test_non_finite_grid_bound(self, tmp_path, capsys, command, bound):
+        f = str(synth_file(tmp_path, "f.csv", F_PARAMS))
+        g = str(synth_file(tmp_path, "g.csv", G_PARAMS))
+        inputs = {"fit": [f], "ratio": [f, g], "diagnose": ["--gdp", f, "--pop", g]}
+        argv = [command, *inputs[command], *bound]
+        self.assert_rejected(tmp_path, capsys, argv, bound[0].split("=")[0])
 
     def test_non_numeric_grid_points_named(self, capsys):
         assert main(["diagnose", *F_G_PARAMS, "--grid-points", "x"]) == 1

@@ -1,7 +1,12 @@
+import csv
 import io
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergrowth import (
     DomainError,
@@ -37,6 +42,11 @@ class TestParseCsv:
         with pytest.raises(ValidationError, match=f"line 3: non-finite value {cell}"):
             parse_csv(io.StringIO(f"year,value\n1,0.5\n2,{cell}\n"))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_year_named(self, cell):
+        with pytest.raises(ValidationError, match=f"^line 3: non-finite year {cell}$"):
+            parse_csv(io.StringIO(f"year,value\n1,0.5\n{cell},2\n"))
+
     def test_byte_order_mark_accepted(self, tmp_path):
         path = tmp_path / "export.csv"
         path.write_bytes(b"\xef\xbb\xbfyear,value\n1,0.5\n2,0.75\n")
@@ -46,6 +56,12 @@ class TestParseCsv:
     def test_duplicate_year_rejected(self):
         with pytest.raises(ValidationError, match="duplicate year 1000"):
             parse_csv(io.StringIO("year,value\n1,1\n1000,2\n1000,3\n"))
+
+    def test_later_duplicate_line_named(self):
+        # Equal years keep their file order when sorted (an unstable sort
+        # swaps these two), so the later line of the pair is named.
+        with pytest.raises(ValidationError, match="^line 5: duplicate year 1$"):
+            parse_csv(io.StringIO("year,value\n3,1\n2,1\n1,1\n1,1\n"))
 
     def test_malformed_cell_names_line(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -142,6 +158,28 @@ class TestTimeSeriesInvariants:
         with pytest.raises(ValidationError):
             TimeSeries(years=[1.0, 2.0], values=[1.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "years, values, message",
+        [
+            ([1.0, np.nan], [1.0, 1.0], "non-finite year nan"),
+            ([-np.inf, 1.0], [1.0, 1.0], "non-finite year -inf"),
+            ([1.0, 2.0, 2.0], [1.0, 1.0, 1.0], "duplicate year 2"),
+            ([1.0, 3.0, 2.0], [1.0, 1.0, 1.0], "decreasing year 2"),
+            ([1.0, 2.0], [1.0, np.inf], "non-finite value inf at year 2"),
+            ([1.0, 2.0], [1.0, -0.0], "non-positive value -0 at year 2"),
+            ([1.0, 2.0], [1.0], "2 years but 1 values"),
+            # Several faults at once: years before values, earliest row first.
+            ([5.0, 4.0, 4.0, np.inf], [-1.0, np.nan, 1.0, 1.0], "non-finite year inf"),
+            ([5.0, 4.0, 4.0, 3.0], [-1.0, np.nan, 1.0, 1.0], "decreasing year 4"),
+            ([3.0, 4.0, 5.0], [1.0, np.nan, -1.0], "non-finite value nan at year 4"),
+        ],
+    )
+    def test_fault_messages(self, years, values, message):
+        with pytest.raises(ValidationError) as info:
+            TimeSeries(years=years, values=values, name="x")
+        assert str(info.value) == f"series 'x': {message}"
+
     def test_immutable_arrays(self):
         series = TimeSeries(years=[1.0, 2.0], values=[1.0, 2.0])
         with pytest.raises(ValueError):
@@ -151,3 +189,129 @@ class TestTimeSeriesInvariants:
         series = TimeSeries(years=[1.0, 1000.0, 1500.0, 1960.0], values=[1, 2, 3, 4])
         out = series.restrict(500.0, 1500.0)
         np.testing.assert_allclose(out.years, [1000.0, 1500.0])
+
+
+def _reference_parse(fh, year_col, value_col, name):
+    """The row-by-row parser that ``parse_csv`` replaced, kept as the oracle.
+
+    Verbatim apart from dropping the ``unit_label`` pass-through, a field
+    ``TimeSeries`` no longer has.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input: missing header row") from None
+    header = [h.strip() for h in header]
+    for col in (year_col, value_col):
+        if col not in header:
+            raise ParseError(f"line 1: missing column {col!r} in header {header}")
+    iy, iv = header.index(year_col), header.index(value_col)
+
+    rows: list[tuple[float, float, int]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) <= max(iy, iv):
+            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            year = float(row[iy])
+            value = float(row[iv])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        rows.append((year, value, lineno))
+
+    rows.sort(key=lambda r: r[0])
+    for (y0, _, _), (y1, _, ln) in zip(rows, rows[1:]):
+        if y1 == y0:
+            raise ValidationError(f"line {ln}: duplicate year {y1:g}")
+    for year, value, lineno in rows:
+        if not np.isfinite(value):
+            raise ValidationError(f"line {lineno}: non-finite value {value:g} at year {year:g}")
+        if value <= 0:
+            raise ValidationError(f"line {lineno}: non-positive value {value:g} at year {year:g}")
+    return TimeSeries(
+        years=[r[0] for r in rows],
+        values=[r[1] for r in rows],
+        name=name,
+    )
+
+
+_YEAR_CELLS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(-1e4, 1e4, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "0", "-1", " 7 ", "1e3", "1_0"]),
+)
+_VALUE_CELLS = st.one_of(
+    st.floats(1e-300, 1e300).map(repr),
+    st.floats(-1e3, 1e3, allow_nan=False).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "0", "2", " 3 ", "1e-3"]),
+)
+_HEADERS = st.sampled_from(
+    [["year", "value"], ["id", " year ", "value ", "note"], ["value", "year"]]
+)
+
+
+def _cell(text: str, quoted: bool) -> str:
+    return '"' + text.replace('"', '""') + '"' if quoted or '"' in text or "," in text else text
+
+
+@st.composite
+def _csv_texts(draw):
+    """Shuffled rows with blanks, short rows, extra and malformed cells.
+
+    At most one row is malformed, so most texts reach the invariant checks.
+    """
+    header = draw(_HEADERS)
+    rows = []
+    # Distinct cells still give duplicate years: "7" and " 7 ", "0" and "-0".
+    for year in draw(st.lists(_YEAR_CELLS, max_size=8, unique=True)):
+        cells = {"year": year, "value": draw(_VALUE_CELLS)}
+        row = [cells.get(h.strip(), "a") for h in header]
+        rows.append(row + ["b", ""] if draw(st.booleans()) else row)
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        broken = draw(st.sampled_from(["x", "", "1,5", 'a"b', "short"]))
+        rows[i] = rows[i][:1] if broken == "short" else [broken] * len(header)
+    lines = [",".join(_cell(c, draw(st.booleans())) for c in r) for r in rows]
+    lines += draw(st.lists(st.sampled_from(["", "  ", "\t", " , ", ",,"]), max_size=3))
+    lines = [",".join(header)] + draw(st.permutations(lines))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, text, name):
+    try:
+        return parse(io.StringIO(text), "year", "value", name)
+    except (ParseError, ValidationError) as exc:
+        return exc
+
+
+def _row_years(text):
+    """Year of every non-blank data row by line, for a text that converts."""
+    header, *rows = csv.reader(io.StringIO(text))
+    iy = [h.strip() for h in header].index("year")
+    return {n: float(row[iy]) for n, row in enumerate(rows, start=2) if "".join(row).strip()}
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=600, deadline=None)
+@given(text=_csv_texts(), name=st.sampled_from(["", "gdp", "ünïcode"]))
+def test_parse_matches_row_by_row_reference(text, name):
+    """Same series or same error as the reference, wherever every year is finite."""
+    expected = _outcome(_reference_parse, text, name)
+    got = _outcome(parse_csv, text, name)
+    if isinstance(expected, TimeSeries):
+        assert isinstance(got, TimeSeries), got
+        assert got.years.tobytes() == expected.years.tobytes()
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.name == expected.name
+        return
+    years = {} if isinstance(expected, ParseError) else _row_years(text)
+    if all(map(math.isfinite, years.values())):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+        return
+    # A non-finite year: the reference reported whatever it met first.
+    assert isinstance(got, ValidationError), got
+    line = re.fullmatch(r"line (\d+): non-finite year (nan|inf|-inf)", str(got))
+    assert line, got
+    assert not math.isfinite(years[int(line.group(1))])
