@@ -116,24 +116,36 @@ def _write_curve(out_dir: Path, stem: str, curve: DiagnosticsCurve, fmt: str) ->
     return _write_table(out_dir, stem, [x_name, curve.quantity], [curve.x, curve.values], fmt)
 
 
-def _json_table(table: dict) -> str:
-    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline, C-encoded."""
-    fields = []
+def _json_table(table: dict):
+    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline, C-encoded.
+
+    Yields the text in pieces, so a writer holds about one column at a time.
+    """
+    if not table:
+        yield "{}\n"
+        return
+    sep = "{\n"
     for key in sorted(table):
-        body = json.dumps(np.asarray(table[key], dtype=float).tolist())
-        if body != "[]":
-            body = "[\n    " + body[1:-1].replace(", ", ",\n    ") + "\n  ]"
-        fields.append(f"  {json.dumps(key)}: {body}")
-    return "{\n" + ",\n".join(fields) + "\n}\n" if fields else "{}\n"
+        yield f"{sep}  {json.dumps(key)}: "
+        column = np.asarray(table[key], dtype=float).tolist()
+        if column:
+            yield "[\n    "
+            yield json.dumps(column, separators=(",\n    ", ": "))[1:-1]
+            yield "\n  ]"
+        else:
+            yield "[]"
+        sep = ",\n"
+    yield "\n}\n"
 
 
-def _write_json(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _write_json(path: Path, parts) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)
 
 
 def _emit_report(out_dir: Path, name: str, report: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
-    _write_json(out_dir / name, text + "\n")
+    _write_json(out_dir / name, (text, "\n"))
     print(text)
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypergrowth import (
     TimeSeries,
     ValidationError,
     fit_hyperbolic,
+    ingest,
     parse_csv,
     synthesize,
     write_csv,
@@ -70,6 +72,60 @@ class TestParseCsv:
     def test_short_row_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_csv(io.StringIO("year,value\n1\n"))
+
+    @pytest.mark.parametrize(
+        "text, cell", [("year,value\n1_000,2\n", "1_000"), ("year,value\n1,2_5\n", "2_5")]
+    )
+    def test_digit_grouping_rejected(self, text, cell):
+        with pytest.raises(ParseError) as info:
+            parse_csv(io.StringIO(text))
+        assert str(info.value) == f"line 2: could not convert string to float: {cell!r}"
+
+    @pytest.mark.parametrize("cell", ["\x1c7", "7\x1f"])
+    def test_ascii_separator_padding_rejected(self, cell):
+        # float() refuses \x1c-\x1f around a number, where numpy's reader strips them.
+        with pytest.raises(ParseError) as info:
+            parse_csv(io.StringIO(f"year,value\n1,1\n{cell},2\n"))
+        assert str(info.value) == f"line 3: could not convert string to float: {cell!r}"
+
+    def test_line_named_after_blank_row(self):
+        with pytest.raises(ValidationError, match="^line 4: duplicate year 1$"):
+            parse_csv(io.StringIO("year,value\n1,1\n\n1,2\n"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "data, years, values, bulk",
+        [
+            (b"year,value\r\n1,2\r\n3,4\r\n", [1, 3], [2, 4], False),
+            (b"year,value\r1,2\r3,4\r", [1, 3], [2, 4], False),
+            (b'"year","value"\n3,4\n1,2\n', [1, 3], [2, 4], True),
+            (b"year,value", [], [], False),
+            (b"year,value\n\n\n", [], [], False),
+            (b"year,value\n1,2\n\n3,4\n", [1, 3], [2, 4], False),
+            (b"year,value\n1,2", [1], [2], True),
+            (b"value,year\n2,1\n4,3\n", [1, 3], [2, 4], True),
+            (b'note,year,value\n"a,5,6,b",1,2\n', [1], [2], False),
+        ],
+        ids=[
+            "crlf",
+            "lone_cr",
+            "quoted_header",
+            "header_only",
+            "header_then_blank_lines",
+            "blank_row_inside",
+            "no_trailing_newline",
+            "value_before_year",
+            "quoted_commas_before_year",
+        ],
+    )
+    def test_file_layouts(self, tmp_path, data, years, values, bulk):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+            series = parse_csv(path)
+        assert series.years.tolist() == years
+        assert series.values.tolist() == values
+        assert row_loop.called is not bulk
 
     def test_missing_column(self):
         with pytest.raises(ParseError, match="missing column"):
@@ -195,8 +251,15 @@ def _reference_parse(fh, year_col, value_col, name):
     """The row-by-row parser that ``parse_csv`` replaced, kept as the oracle.
 
     Verbatim apart from dropping the ``unit_label`` pass-through, a field
-    ``TimeSeries`` no longer has.
+    ``TimeSeries`` no longer has, and from refusing ``1_000``-style digit
+    grouping, which ``float()`` accepts and the parser rejects on purpose.
     """
+
+    def _no_grouping(cell):
+        if "_" in cell:
+            raise ValueError(f"could not convert string to float: {cell!r}")
+        return float(cell)
+
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -215,8 +278,8 @@ def _reference_parse(fh, year_col, value_col, name):
         if len(row) <= max(iy, iv):
             raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            year = float(row[iy])
-            value = float(row[iv])
+            year = _no_grouping(row[iy])
+            value = _no_grouping(row[iv])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         rows.append((year, value, lineno))
@@ -258,7 +321,7 @@ def _cell(text: str, quoted: bool) -> str:
 
 @st.composite
 def _csv_texts(draw):
-    """Shuffled rows with blanks, short rows, extra and malformed cells.
+    """Shuffled rows with blanks, short rows, extra and malformed cells, LF or CRLF.
 
     At most one row is malformed, so most texts reach the invariant checks.
     """
@@ -276,7 +339,8 @@ def _csv_texts(draw):
     lines = [",".join(_cell(c, draw(st.booleans())) for c in r) for r in rows]
     lines += draw(st.lists(st.sampled_from(["", "  ", "\t", " , ", ",,"]), max_size=3))
     lines = [",".join(header)] + draw(st.permutations(lines))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
 def _outcome(parse, text, name):
@@ -315,3 +379,51 @@ def test_parse_matches_row_by_row_reference(text, name):
     line = re.fullmatch(r"line (\d+): non-finite year (nan|inf|-inf)", str(got))
     assert line, got
     assert not math.isfinite(years[int(line.group(1))])
+
+
+_PLAIN_YEARS = st.one_of(
+    st.integers(-3000, 3000).map(str),
+    st.floats(-1e4, 1e4, allow_nan=False).map(repr),
+    st.sampled_from(["-0", " 7 ", "1e3", "+5", ".5", "5."]),
+)
+# Mostly valid values, so that most texts parse and compare bitwise.
+_PLAIN_VALUES = st.one_of(
+    st.tuples(
+        st.sampled_from([repr, "{:.12g}".format, "{:.17e}".format, "{:.25g}".format]),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ).map(lambda p: p[0](p[1])),
+    st.sampled_from([" 3 ", "1e-3", "+2", ".5", "5.", "1E300", "nan", "-0"]),
+)
+
+
+@st.composite
+def _plain_csv_texts(draw):
+    """Texts numpy's reader takes whole: an unquoted LF-only body, no blank or short rows.
+
+    The header may be quoted or reordered, and rows may carry extra columns.
+    """
+    header = draw(_HEADERS)
+    quoted = draw(st.booleans())
+    lines = [",".join(_cell(h, quoted) for h in header)]
+    for _ in range(draw(st.integers(1, 8))):
+        cells = {"year": draw(_PLAIN_YEARS), "value": draw(_PLAIN_VALUES)}
+        row = [cells.get(h.strip(), "a") for h in header]
+        lines.append(",".join(row + ["b", ""] if draw(st.booleans()) else row))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(text=_plain_csv_texts(), name=st.sampled_from(["", "gdp"]))
+def test_plain_text_skips_row_loop(text, name):
+    """Well-formed text is read in bulk, with the reference's series or error."""
+    expected = _outcome(_reference_parse, text, name)
+    with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop ran")):
+        got = _outcome(parse_csv, text, name)
+    if isinstance(expected, TimeSeries):
+        assert isinstance(got, TimeSeries), got
+        assert got.years.tobytes() == expected.years.tobytes()
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.name == expected.name
+    else:
+        assert (type(got), str(got)) == (type(expected), str(expected))
