@@ -8,10 +8,7 @@ whether the data support any change of growth regime.
 from .core import (
     SINGULARITY_GUARD,
     HyperbolicParams,
-    derivative,
     eval_hyperbolic,
-    growth_rate,
-    inverse_time,
     reciprocal_value,
     singularity_time,
 )

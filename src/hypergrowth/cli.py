@@ -48,6 +48,7 @@ EXIT_DATA = 2
 EXIT_DOMAIN = 3
 
 DEFAULT_GRID_POINTS = 512
+MAX_GRID_POINTS = 10**8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -338,8 +339,10 @@ def cmd_synth(args) -> int:
         raise ValidationError(f"step must be positive, got {args.step:g}")
     if args.stop < args.start:
         raise ValidationError(f"grid end {args.stop:g} before start {args.start:g}")
-    n = int(np.floor((args.stop - args.start) / args.step + 1e-9)) + 1
-    grid = args.start + args.step * np.arange(n)
+    n = np.floor((args.stop - args.start) / args.step + 1e-9) + 1
+    if not n <= MAX_GRID_POINTS:
+        raise ValidationError(f"grid of {n:g} points exceeds {MAX_GRID_POINTS:g}")
+    grid = args.start + args.step * np.arange(int(n))
     series = synthesize(
         params, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic"
     )
@@ -383,9 +386,11 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-_GRID_POINTS = _checked(int, lambda n: n >= 2, "at least 2")
+_GRID_POINTS = _checked(int, lambda n: 2 <= n <= MAX_GRID_POINTS, f"in [2, {MAX_GRID_POINTS:g}]")
 _ALPHA = _checked(float, lambda a: 0 < a < 1, "in (0, 1)")
 _FINITE = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_SEED = _checked(int, lambda n: n >= 0, "non-negative")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -443,10 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="gradient/growth-rate curves and break tests")
     p.add_argument("--gdp", default=None, help="numerator CSV (fit mode)")
     p.add_argument("--pop", default=None, help="denominator CSV (fit mode)")
-    p.add_argument("--f-a", type=float, default=None, help="numerator intercept")
-    p.add_argument("--f-k", type=float, default=None, help="numerator slope")
-    p.add_argument("--g-a", type=float, default=None, help="denominator intercept")
-    p.add_argument("--g-k", type=float, default=None, help="denominator slope")
+    p.add_argument("--f-a", type=_POSITIVE, default=None, help="numerator intercept")
+    p.add_argument("--f-k", type=_POSITIVE, default=None, help="numerator slope")
+    p.add_argument("--g-a", type=_POSITIVE, default=None, help="denominator intercept")
+    p.add_argument("--g-k", type=_POSITIVE, default=None, help="denominator slope")
     p.add_argument(
         "--series", default=None, help="extra CSV to scan for structural breaks"
     )
@@ -471,13 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("synth", help="generate a synthetic hyperbolic series")
-    p.add_argument("--a", type=float, required=True, help="reciprocal-line intercept")
-    p.add_argument("--k", type=float, required=True, help="reciprocal-line slope")
-    p.add_argument("--from", dest="start", type=float, required=True, help="first year")
-    p.add_argument("--to", dest="stop", type=float, required=True, help="last year")
-    p.add_argument("--step", type=float, default=1.0, help="year spacing")
-    p.add_argument("--noise", type=float, default=0.0, help="multiplicative noise sigma")
-    p.add_argument("--seed", type=int, default=0, help="noise RNG seed")
+    p.add_argument("--a", type=_POSITIVE, required=True, help="reciprocal-line intercept")
+    p.add_argument("--k", type=_POSITIVE, required=True, help="reciprocal-line slope")
+    p.add_argument("--from", dest="start", type=_FINITE, required=True, help="first year")
+    p.add_argument("--to", dest="stop", type=_FINITE, required=True, help="last year")
+    p.add_argument("--step", type=_FINITE, default=1.0, help="year spacing")
+    p.add_argument("--noise", type=_FINITE, default=0.0, help="multiplicative noise sigma")
+    p.add_argument("--seed", type=_SEED, default=0, help="noise RNG seed")
     p.add_argument("--out", default=None, help="output CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
@@ -524,8 +529,6 @@ def main(argv=None) -> int:
         return _emit_error(exc, EXIT_DATA)
     except DomainError as exc:
         return _emit_error(exc, EXIT_DOMAIN)
-    except ValueError as exc:
-        return _emit_error(exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

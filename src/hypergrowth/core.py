@@ -73,44 +73,19 @@ def last_guarded_time(p: HyperbolicParams) -> float:
     return end
 
 
-def _guarded_line(p: HyperbolicParams, t):
-    """a - k*t, raising DomainError at or past the singularity guard."""
+def eval_hyperbolic(p: HyperbolicParams, t):
+    """Trajectory value 1/(a - k*t); strictly positive and increasing in t.
+
+    Raises DomainError at or past the singularity guard.
+    """
     if np.any(past_guard(p, t)):
         raise DomainError(
             f"time at or beyond the singularity guard "
             f"(singularity at t_s={p.singularity_time:.6g})"
         )
-    return reciprocal_value(p, t)
-
-
-def eval_hyperbolic(p: HyperbolicParams, t):
-    """Trajectory value 1/(a - k*t); strictly positive and increasing in t."""
-    return 1.0 / _guarded_line(p, t)
+    return 1.0 / reciprocal_value(p, t)
 
 
 def singularity_time(p: HyperbolicParams) -> float:
     """Finite time a/k at which the trajectory escapes to infinity."""
     return p.singularity_time
-
-
-def inverse_time(p: HyperbolicParams, size):
-    """Time at which the trajectory reaches ``size``: a/k - 1/(k*size).
-
-    Inverse of :func:`eval_hyperbolic` in the variable sense (time as a
-    function of size). Approaches a/k from below as size grows.
-    """
-    size = np.asarray(size, dtype=float)
-    if np.any(size <= 0):
-        raise DomainError("size must be positive")
-    return p.a / p.k - 1.0 / (p.k * size)
-
-
-def derivative(p: HyperbolicParams, t):
-    """Time derivative k/(a - k*t)**2; strictly positive and increasing."""
-    return p.k / _guarded_line(p, t) ** 2
-
-
-def growth_rate(p: HyperbolicParams, t):
-    """Relative growth rate f'/f = k/(a - k*t); positive and increasing."""
-    return p.k / _guarded_line(p, t)
-

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,8 @@ def _parse_stream(fh, year_col, value_col, name) -> TimeSeries:
         header = next(csv.reader(fh))
     except StopIteration:
         raise ParseError("empty input: missing header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"line 1: {exc}") from None
     header = [h.strip() for h in header]
     for col in (year_col, value_col):
         if col not in header:
@@ -59,6 +62,8 @@ def _parse_stream(fh, year_col, value_col, name) -> TimeSeries:
     iy, iv = header.index(year_col), header.index(value_col)
 
     body = fh.read()
+    if "\r" in body and body.count("\r") == body.count("\r\n"):  # CRLF, no lone CR
+        body = body.replace("\r\n", "\n")
     bulk = _bulk_columns(body, iy, iv)
     if bulk is None:
         # newline="" splits lines at CR, LF and CRLF, as parse_csv opens files.
@@ -118,17 +123,21 @@ def _parse_rows(rows, width, iy, iv):
     """
     last = max(iy, iv)
     lines, years, values = [], [], []
-    for lineno, row in enumerate(csv.reader(rows), start=2):
-        if not "".join(row).strip():
-            continue
-        if len(row) <= last:
-            raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
-        try:
-            years.append(_plain_float(row[iy]))
-            values.append(_plain_float(row[iv]))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        lines.append(lineno)
+    reader = csv.reader(rows)
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) <= last:
+                raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
+            try:
+                years.append(_plain_float(row[iy]))
+                values.append(_plain_float(row[iv]))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            lines.append(lineno)
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise ParseError(f"line {reader.line_num + 1}: {exc}") from None
     return lines, years, values
 
 
@@ -153,16 +162,111 @@ def write_columns(dest, header: list[str], columns) -> None:
     """Write parallel numeric columns as CSV to a path or text stream.
 
     Every number is formatted with FLOAT_FORMAT; rows end in a bare newline.
-    Only the header can need quoting, so rows go through one %-template.
+    Only the header can need quoting; rows are formatted in bulk by
+    _format_rows, _CHUNK_ROWS at a time.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_columns(fh, header, columns)
         return
     csv.writer(dest, lineterminator="\n").writerow(header)
-    template = ",".join(["%" + FLOAT_FORMAT] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    dest.writelines(map(template.__mod__, rows))
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows = min((len(c) for c in columns), default=0)
+    for start in range(0, rows, _CHUNK_ROWS):
+        chunk = np.column_stack([c[start : min(start + _CHUNK_ROWS, rows)] for c in columns])
+        dest.write(_format_rows(chunk).decode())
+
+
+# Twelve significant digits of |v| are the integer rint(|v| * 10**(11 - e)),
+# e its decimal exponent. For |11 - e| <= 22 the power of ten is exact, so the
+# scaled value (below 10**12 < 2**40) carries one rounding error of at most
+# 2**-14, and rint gives format()'s correctly rounded digits unless the scaled
+# value lies within _TIE_MARGIN of a half. Such cells, zeros, non-finite
+# values and exponents outside [-11, 33] (subnormals included) are left to
+# format().
+_POW10 = np.array([10**k for k in range(23)], dtype=float)
+_TIE_MARGIN = 1e-3
+_CHUNK_ROWS = 1 << 14
+_SEP = 36  # slot byte of the separator; a format() cell fills the bytes before it
+
+
+def _scaled(a, e):
+    """``a * 10**(11 - e)`` with one rounding, for e in [-11, 33]."""
+    k = np.clip(11 - e, -22, 22)
+    return a * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
+
+
+@cache
+def _cell_tables():
+    """Tables that lay out a cell in a 40-byte slot, five uint64 words.
+
+    A slot holds, NUL elsewhere: byte 0 the sign, 1-5 the "0.000" of
+    -4 <= e < 0, 8 + 2j digit j of the mantissa and 9 + 2j a point after
+    it, 32-35 "e", the exponent's sign and two digits, _SEP the separator.
+    ``words`` maps a 4-digit group w to its digits at bytes 0, 2, 4, 6 of a
+    word (the slot's words 1-3) and 10000 + x to the digits of exponent x
+    at bytes 2-3 (word 4); ``tz`` counts a group's trailing zeros. ``mask``
+    and ``fixed`` hold, per layout code ``(negative * 18 + form) * 12 +
+    last``, the bytes kept from ``words`` and the constant bytes; form is
+    e + 4 for -4 <= e < 12, then 16 and 17 for exponent form with a plus or
+    minus sign, and last indexes the mantissa's last nonzero digit.
+    """
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48  # "0000".."9999"
+    zero = np.arange(10) == 0
+    tz = zero * (1 + zero[:, None] * (1 + zero[:, None, None] * (1 + zero[:, None, None, None])))
+    words = np.zeros((10100, 8), np.uint8)
+    words[:10000, ::2] = digits
+    words[10000:, 2:4] = digits[:100, 2:]
+
+    neg, form, last = np.indices((2, 18, 12)).reshape(3, -1, 1)
+    expo = form >= 16
+    point = np.where(expo, 0, form - 4)  # index of the last integer digit
+    j = np.arange(12)
+    mask = np.zeros((len(neg), 40), np.uint8)
+    fixed = np.zeros((len(neg), 40), np.uint8)
+    fixed[:, :1] = 45 * neg
+    fixed[:, 1:6] = np.frombuffer(b"0.000", np.uint8) * (point < np.minimum(0, 1 - np.arange(5)))
+    mask[:, 8:32:2] = 255 * (j <= np.maximum(point, last))
+    fixed[:, 9:32:2] = 46 * ((j == point) & (last > point))
+    fixed[:, 32:34] = np.where(form == 17, [101, 45], [101, 43]) * expo
+    mask[:, 34:36] = 255 * expo
+    words, mask, fixed = (t.view(np.uint64) for t in (words, mask, fixed))
+    return words.ravel(), tz.ravel().astype(np.intp), mask, fixed
+
+
+def _format_rows(x) -> bytes:
+    """CSV bytes of a (rows, columns) float array, each cell format(v, FLOAT_FORMAT)."""
+    words, tz, mask, fixed = _cell_tables()
+    ok = np.isfinite(x) & (x != 0)
+    a = np.where(ok, np.abs(x), 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = _scaled(a, e)
+    off = (s >= 1e12).astype(np.intp) - (s < 1e11)  # log10 may miss by one
+    if off.any():
+        e += off
+        s = _scaled(a, e)
+    m = np.rint(s)
+    ok &= (np.abs(s - m) < 0.5 - _TIE_MARGIN) & (e >= -11) & (e <= 33)
+    carry = m >= 1e12  # rounded up to 10**(e + 1)
+    e += carry
+    m = np.where(ok & ~carry, m, 1e11).astype(np.int64)
+
+    hi, rest = np.divmod(m, 10**8)
+    mid, lo = np.divmod(rest, 10**4)
+    # Word 0 (sign, "0.000") takes no digits: its mask is zero.
+    idx = np.stack([hi, hi, mid, lo, 10000 + np.minimum(np.abs(e), 99)], axis=-1)
+    zeros = tz[lo] + (lo == 0) * (tz[mid] + (mid == 0) * tz[hi])
+    form = np.where((e >= -4) & (e < 12), e + 4, 16 + (e < 0))
+    code = ((x < 0) * 18 + form) * 12 + 11 - zeros
+    slots = np.take(words, idx) & np.take(mask, code, axis=0) | np.take(fixed, code, axis=0)
+
+    cells = slots.view(np.uint8)
+    cells[..., _SEP] = [44] * (x.shape[1] - 1) + [10]
+    if not ok.all():
+        cells[~ok, :_SEP] = np.array(
+            [format(v, FLOAT_FORMAT) for v in x[~ok].tolist()], dtype=f"S{_SEP}"
+        ).view(np.uint8).reshape(-1, _SEP)
+    return cells.tobytes().translate(None, b"\0")
 
 
 def synthesize(

@@ -393,6 +393,32 @@ class TestDownsample:
         assert sub_fit["k"] == pytest.approx(full_fit["k"], rel=1e-9)
 
 
+class TestInputFileErrors:
+    """Reader failures exit 2 with a JSON error naming the line, stderr empty."""
+
+    def test_over_limit_quoted_field(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text('year,value,note\n1,2,"' + "x" * 200_000 + '"\n3,4,a\n')
+        code = main(["fit", str(path), "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"] == "line 2: field larger than field limit (131072)"
+
+    def test_crlf_file_with_long_unquoted_note_is_read(self, tmp_path, capsys):
+        rows = "".join(f"{t},{1 / (4.5 - 2.2e-3 * t)!r},n\r\n" for t in range(0, 2000, 100))
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(("year,value,note\r\n0,0.2222222222222222," + "x" * 200_000 + "\r\n"
+                          + rows[rows.index("\n") + 1:]).encode())
+        code = main(["fit", str(path), "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["series"]["n_points"] == 20
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -422,7 +448,7 @@ F_G_PARAMS = ["--f-a", "4.5", "--f-k", "2.2e-3", "--g-a", "7.0", "--g-k", "3.35e
 
 
 class TestParseTimeValidation:
-    """Bad --grid-points, --alpha, --grid-from/--grid-to fail in argparse.
+    """Bad grid, model-parameter, synth and --alpha flags fail in argparse.
 
     Each exits 1 with a usage message and writes no artifact.
     """
@@ -466,6 +492,44 @@ class TestParseTimeValidation:
         inputs = {"fit": [f], "ratio": [f, g], "diagnose": ["--gdp", f, "--pop", g]}
         argv = [command, *inputs[command], *bound]
         self.assert_rejected(tmp_path, capsys, argv, bound[0].split("=")[0])
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--a", "--k"])
+    def test_synth_params_positive_finite(self, tmp_path, capsys, flag, value):
+        argv = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "100"]
+        argv[argv.index(flag) + 1] = value
+        self.assert_rejected(tmp_path, capsys, argv, flag)
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--f-a", "--f-k", "--g-a", "--g-k"])
+    def test_diagnose_params_positive_finite(self, tmp_path, capsys, flag, value):
+        argv = ["diagnose", *F_G_PARAMS]
+        argv[argv.index(flag) + 1] = value
+        self.assert_rejected(tmp_path, capsys, argv, flag)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--from", "nan"), ("--to", "inf"), ("--step", "nan"), ("--noise", "nan"), ("--seed", "-1")],
+    )
+    def test_synth_grid_and_noise_flags(self, tmp_path, capsys, flag, value):
+        argv = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "100",
+                "--noise", "0.01", flag, value]
+        self.assert_rejected(tmp_path, capsys, argv, flag)
+
+    def test_grid_points_above_limit(self, tmp_path, capsys):
+        argv = ["diagnose", *F_G_PARAMS, "--grid-points", str(10**20)]
+        self.assert_rejected(tmp_path, capsys, argv, "--grid-points")
+
+    @pytest.mark.parametrize("span", [["--to", "1e308"], ["--step", "1e-320"]], ids=["to", "step"])
+    def test_synth_grid_too_large(self, tmp_path, capsys, span):
+        argv = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "100", *span,
+                "--out", str(tmp_path / "s.csv"), "--out-dir", str(tmp_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["message"].endswith("points exceeds 1e+08")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_non_numeric_grid_points_named(self, capsys):
         assert main(["diagnose", *F_G_PARAMS, "--grid-points", "x"]) == 1

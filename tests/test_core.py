@@ -6,15 +6,10 @@ from hypothesis import strategies as st
 from hypergrowth import (
     DomainError,
     HyperbolicParams,
-    derivative,
     eval_hyperbolic,
-    growth_rate,
-    inverse_time,
     reciprocal_value,
     singularity_time,
 )
-
-from conftest import finite_difference_step
 
 
 def hyperbolic_params():
@@ -86,76 +81,12 @@ class TestSingularityTime:
         assert singularity_time(p) == pytest.approx(1979.0, abs=0.5)
 
 
-class TestInverseTime:
-    def test_inverse_of_known_point(self, f_params):
-        assert inverse_time(f_params, 10.0) == pytest.approx(2000.0, abs=1e-9)
-
-    def test_inverse_of_origin(self, f_params):
-        assert inverse_time(f_params, 1 / 4.5) == pytest.approx(0.0, abs=1e-9)
-
-    def test_limit_is_singularity_time(self, f_params):
-        t = inverse_time(f_params, 1e12)
-        assert t < f_params.singularity_time
-        assert t == pytest.approx(f_params.singularity_time, abs=1e-3)
-
-    def test_rejects_nonpositive_size(self, f_params):
-        with pytest.raises(DomainError):
-            inverse_time(f_params, 0.0)
-        with pytest.raises(DomainError):
-            inverse_time(f_params, -3.0)
-
-
-class TestDerivatives:
-    def test_derivative_at_origin(self, f_params):
-        assert derivative(f_params, 0.0) == pytest.approx(2.2e-3 / 20.25, rel=1e-12)
-
-    def test_derivative_late(self, f_params):
-        assert derivative(f_params, 2000.0) == pytest.approx(0.22, rel=1e-10)
-
-    def test_growth_rate_at_origin(self, f_params, g_params):
-        assert growth_rate(f_params, 0.0) == pytest.approx(2.2e-3 / 4.5, rel=1e-12)
-        assert growth_rate(g_params, 0.0) == pytest.approx(3.35e-3 / 7.0, rel=1e-12)
-
-    def test_growth_rate_times_value_is_derivative(self, f_params):
-        for t in (0.0, 1000.0, 1900.0, 2040.0):
-            assert growth_rate(f_params, t) * eval_hyperbolic(f_params, t) == pytest.approx(
-                derivative(f_params, t), rel=1e-12
-            )
-
-    def test_domain_guard(self, f_params):
-        with pytest.raises(DomainError):
-            derivative(f_params, 2046.0)
-        with pytest.raises(DomainError):
-            growth_rate(f_params, 2046.0)
-
-
 @given(p=hyperbolic_params(), frac=st.floats(0.0, 0.999999))
 @settings(max_examples=200, deadline=None)
 def test_reciprocal_identity(p, frac):
     # eval * reciprocal == 1 everywhere below the guard
     t = p.singularity_time * frac
     assert eval_hyperbolic(p, t) * reciprocal_value(p, t) == pytest.approx(1.0, rel=1e-12)
-
-
-@given(p=hyperbolic_params(), offset=st.floats(1.0, 2000.0))
-@settings(max_examples=200, deadline=None)
-def test_inverse_round_trip(p, offset):
-    t = p.singularity_time - offset
-    t_back = inverse_time(p, eval_hyperbolic(p, t))
-    assert t_back == pytest.approx(t, abs=1e-6)
-
-
-@given(p=hyperbolic_params(), offset=st.floats(1.0, 2000.0))
-@settings(max_examples=200, deadline=None)
-def test_derivatives_match_finite_differences(p, offset):
-    t = p.singularity_time - offset
-    h = finite_difference_step(p, t)
-    fd_value = (eval_hyperbolic(p, t + h) - eval_hyperbolic(p, t - h)) / (2 * h)
-    assert derivative(p, t) == pytest.approx(fd_value, rel=1e-6)
-    fd_log = (
-        np.log(eval_hyperbolic(p, t + h)) - np.log(eval_hyperbolic(p, t - h))
-    ) / (2 * h)
-    assert growth_rate(p, t) == pytest.approx(fd_log, rel=1e-6)
 
 
 @given(
@@ -171,5 +102,3 @@ def test_strict_monotonicity(p, frac1, frac2):
     if t2 - t1 < 1e-9 * p.singularity_time:
         return  # below float resolution of the evaluations
     assert eval_hyperbolic(p, t2) > eval_hyperbolic(p, t1)
-    assert derivative(p, t2) > derivative(p, t1)
-    assert growth_rate(p, t2) > growth_rate(p, t1)

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -96,7 +97,7 @@ class TestParseCsv:
     @pytest.mark.parametrize(
         "data, years, values, bulk",
         [
-            (b"year,value\r\n1,2\r\n3,4\r\n", [1, 3], [2, 4], False),
+            (b"year,value\r\n1,2\r\n3,4\r\n", [1, 3], [2, 4], True),
             (b"year,value\r1,2\r3,4\r", [1, 3], [2, 4], False),
             (b'"year","value"\n3,4\n1,2\n', [1, 3], [2, 4], True),
             (b"year,value", [], [], False),
@@ -126,6 +127,16 @@ class TestParseCsv:
         assert series.years.tolist() == years
         assert series.values.tolist() == values
         assert row_loop.called is not bulk
+
+    def test_csv_error_names_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text('year,value,note\n1,2,a\n3,4,"' + "x" * 200_000 + '"\n')
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
+            parse_csv(path)
+
+    def test_lone_cr_after_header_in_stream(self):
+        with pytest.raises(ParseError, match=r"^line 1: new-line character"):
+            parse_csv(io.StringIO("year,value\r1,2\n"))
 
     def test_missing_column(self):
         with pytest.raises(ParseError, match="missing column"):
@@ -427,3 +438,103 @@ def test_plain_text_skips_row_loop(text, name):
         assert got.name == expected.name
     else:
         assert (type(got), str(got)) == (type(expected), str(expected))
+
+
+def _oracle_rows(columns) -> str:
+    """The per-cell reference: format() of every cell, joined by hand."""
+    return "".join(",".join(format(v, ".12g") for v in row) + "\n" for row in zip(*columns))
+
+
+def _assert_writes_oracle(columns):
+    """write_columns' rows equal _oracle_rows'; a failure names the first rows that differ.
+
+    Warnings are errors inside the writer only: the hypothesis plugin itself
+    warns while reporting a failed example.
+    """
+    buf = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ingest.write_columns(buf, [f"c{i}" for i in range(len(columns))], columns)
+    header, _, rows = buf.getvalue().partition("\n")
+    assert header == ",".join(f"c{i}" for i in range(len(columns)))
+    want = _oracle_rows(columns)
+    if rows != want:
+        got_rows, want_rows = rows.splitlines(), want.splitlines()
+        diff = [(i, g, w) for i, (g, w) in enumerate(zip(got_rows, want_rows)) if g != w]
+        pytest.fail(f"{len(got_rows)} rows written, {len(want_rows)} expected; "
+                    f"first differing (row, written, expected): {diff[:3]}")
+
+
+def _with_neighbours(values):
+    x = np.asarray(values, dtype=float)
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+_POWERS = _with_neighbours([float(f"1e{k}") for k in range(-320, 309)])
+_FORM_BOUNDARIES = _with_neighbours(
+    [1e-5, 1e-4, 1e11, 1e12, 9.999999999995e-5, 9.9999999999995e-6,
+     99999999999.95, 999999999999.5, 999999999999.4, 99999999999.4999]
+)
+_EXACT_TIES = [1000000000005.0, 1000000000015.0, 1234567890125.0, 123456789012.5,
+               123456789013.5, 12345678901.25, 9999999999995.0, 2.5, 0.125, 1.0000000000005]
+_SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+             2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308, 1e100, -1e-100, 1.23456789012e-300, -1.23456789012e300,
+             9.99999999999e99, 9.999999999995e-100]
+
+
+def _near_ties(rng, n):
+    """Decimal strings one digit past twelve, ending in 5, over the certified range."""
+    digits = rng.integers(10**11, 10**12, n)
+    exponents = rng.integers(-24, 24, n)
+    return [float(f"{d}5e{x}") for d, x in zip(digits.tolist(), exponents.tolist())]
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [_POWERS, -_POWERS, _FORM_BOUNDARIES, -_FORM_BOUNDARIES, _EXACT_TIES, _SPECIALS],
+    ids=["powers_of_ten", "negative_powers", "form_boundaries", "negative_boundaries",
+         "exact_ties", "specials"],
+)
+def test_write_columns_edge_cells(cells):
+    cells = [float(v) for v in cells]
+    for n_cols in (1, 3):
+        columns = [cells[i::n_cols][: len(cells) // n_cols] for i in range(n_cols)]
+        _assert_writes_oracle(columns)
+
+
+def test_write_columns_dense_cells():
+    """Many cells on the bulk path: random magnitudes, short decimals, near ties."""
+    rng = np.random.default_rng(6)
+    n = 30_000
+    signs = rng.choice([-1.0, 1.0], n)
+    magnitudes = 10.0 ** rng.uniform(-13, 36, n) * signs
+    scale = 10.0 ** rng.integers(0, 9, n)
+    decimals = np.rint(rng.uniform(-1e5, 1e5, n) * scale) / scale
+    ties = np.array(_near_ties(rng, n)) * signs
+    columns = [magnitudes.tolist(), decimals.tolist(), ties.tolist()]
+    _assert_writes_oracle(columns)
+
+
+_CHUNK = ingest._CHUNK_ROWS
+_BITS = st.integers(0, 2**64 - 1) | st.floats(1e-12, 1e35).map(
+    lambda v: int(np.float64(v).view(np.uint64))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=st.lists(_BITS, min_size=1, max_size=40),
+    n_cols=st.integers(1, 4),
+    n_rows=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+    negative=st.booleans(),
+)
+def test_write_columns_matches_format_on_bit_patterns(bits, n_cols, n_rows, negative):
+    """Raw float64 bit patterns, tiled across chunk-boundary row counts.
+
+    The row index is XORed into the low mantissa bits, so no two rows match.
+    """
+    pattern = np.array(bits, dtype=np.uint64) | np.uint64(negative << 63)
+    rows = np.arange(n_rows, dtype=np.uint64)
+    columns = [(np.resize(np.roll(pattern, col), n_rows) ^ rows).view(np.float64) for col in range(n_cols)]
+    _assert_writes_oracle([c.tolist() for c in columns])
