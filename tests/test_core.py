@@ -11,6 +11,8 @@ from hypergrowth import (
     singularity_time,
 )
 
+from conftest import finite_difference_step
+
 
 def hyperbolic_params():
     """Strategy for valid parameter pairs with year-scale singularities."""
@@ -87,6 +89,30 @@ def test_reciprocal_identity(p, frac):
     # eval * reciprocal == 1 everywhere below the guard
     t = p.singularity_time * frac
     assert eval_hyperbolic(p, t) * reciprocal_value(p, t) == pytest.approx(1.0, rel=1e-12)
+
+
+@given(p=hyperbolic_params(), offset=st.floats(1.0, 2000.0))
+@settings(max_examples=200, deadline=None)
+def test_inverse_round_trip(p, offset):
+    # the closed-form inverse a/k - 1/(k*f) recovers t from the trajectory value
+    t = p.singularity_time - offset
+    t_back = p.a / p.k - 1.0 / (p.k * eval_hyperbolic(p, t))
+    assert t_back == pytest.approx(t, abs=1e-6)
+
+
+@given(p=hyperbolic_params(), offset=st.floats(1.0, 2000.0))
+@settings(max_examples=200, deadline=None)
+def test_derivatives_match_finite_differences(p, offset):
+    # the trajectory obeys the hyperbolic growth law f' = k*f**2, so f'/f = k*f
+    t = p.singularity_time - offset
+    h = finite_difference_step(p, t)
+    f = eval_hyperbolic(p, t)
+    fd_value = (eval_hyperbolic(p, t + h) - eval_hyperbolic(p, t - h)) / (2 * h)
+    assert p.k * f**2 == pytest.approx(fd_value, rel=1e-6)
+    fd_log = (
+        np.log(eval_hyperbolic(p, t + h)) - np.log(eval_hyperbolic(p, t - h))
+    ) / (2 * h)
+    assert p.k * f == pytest.approx(fd_log, rel=1e-6)
 
 
 @given(
