@@ -48,7 +48,9 @@ EXIT_DATA = 2
 EXIT_DOMAIN = 3
 
 DEFAULT_GRID_POINTS = 512
-MAX_GRID_POINTS = 10**8
+# The most float64 elements numpy allows in one array; it refuses larger
+# grids with "Maximum allowed size exceeded".
+MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,10 +395,19 @@ _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _SEED = _checked(int, lambda n: n >= 0, "non-negative")
 
 
+def _column(text: str) -> str:
+    """An argparse ``type`` for column names, which go into UTF-8 CSV headers."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # argv bytes that are not UTF-8 arrive as lone surrogates
+        raise argparse.ArgumentTypeError(f"must be UTF-8 text, got {ascii(text)}") from None
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for emitted artifacts")
-    p.add_argument("--year-col", default="year", help="CSV year column name")
-    p.add_argument("--value-col", default="value", help="CSV value column name")
+    p.add_argument("--year-col", type=_column, default="year", help="CSV year column name")
+    p.add_argument("--value-col", type=_column, default="value", help="CSV value column name")
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:

@@ -23,10 +23,6 @@ from .core import HyperbolicParams, eval_hyperbolic
 from .errors import ParseError, ValidationError
 from .series import TimeSeries, _first_fault
 
-# Numeric output formatting: up to 12 significant digits, enough to
-# round-trip far beyond the precision of any historical table.
-FLOAT_FORMAT = ".12g"
-
 
 def parse_csv(
     source,
@@ -43,8 +39,17 @@ def parse_csv(
         path = Path(source)
         if name is None:
             name = path.stem
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return _parse_stream(fh, year_col, value_col, name)
+        try:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+                return _parse_stream(fh, year_col, value_col, name)
+        except UnicodeDecodeError as exc:
+            data = path.read_bytes()  # exc.start counts from the decoder's chunk
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"line {line}: not UTF-8 text: {exc.reason}") from None
     return _parse_stream(source, year_col, value_col, name or "")
 
 
@@ -62,7 +67,8 @@ def _parse_stream(fh, year_col, value_col, name) -> TimeSeries:
     iy, iv = header.index(year_col), header.index(value_col)
 
     body = fh.read()
-    if "\r" in body and body.count("\r") == body.count("\r\n"):  # CRLF, no lone CR
+    # CRLF rows without lone CRs or quotes (which may hold CRLF) read in bulk.
+    if "\r" in body and '"' not in body and body.count("\r") == body.count("\r\n"):
         body = body.replace("\r\n", "\n")
     bulk = _bulk_columns(body, iy, iv)
     if bulk is None:
@@ -161,7 +167,9 @@ def write_csv(
 def write_columns(dest, header: list[str], columns) -> None:
     """Write parallel numeric columns as CSV to a path or text stream.
 
-    Every number is formatted with FLOAT_FORMAT; rows end in a bare newline.
+    Every number is written as format(v, ".12g"): 12 significant digits,
+    far beyond the precision of any historical table. Rows end in a bare
+    newline.
     Only the header can need quoting; rows are formatted in bulk by
     _format_rows, _CHUNK_ROWS at a time.
     """
@@ -187,7 +195,10 @@ def write_columns(dest, header: list[str], columns) -> None:
 _POW10 = np.array([10**k for k in range(23)], dtype=float)
 _TIE_MARGIN = 1e-3
 _CHUNK_ROWS = 1 << 14
-_SEP = 36  # slot byte of the separator; a format() cell fills the bytes before it
+# A cell's slot, NUL where unused: the sign, the "0.000" of -4 <= e < 0,
+# mantissa digit j at 6 + 2j and a point after it at 7 + 2j, "e", the
+# exponent's sign and two digits, the separator.
+_SLOT = 35
 
 
 def _scaled(a, e):
@@ -197,46 +208,14 @@ def _scaled(a, e):
 
 
 @cache
-def _cell_tables():
-    """Tables that lay out a cell in a 40-byte slot, five uint64 words.
-
-    A slot holds, NUL elsewhere: byte 0 the sign, 1-5 the "0.000" of
-    -4 <= e < 0, 8 + 2j digit j of the mantissa and 9 + 2j a point after
-    it, 32-35 "e", the exponent's sign and two digits, _SEP the separator.
-    ``words`` maps a 4-digit group w to its digits at bytes 0, 2, 4, 6 of a
-    word (the slot's words 1-3) and 10000 + x to the digits of exponent x
-    at bytes 2-3 (word 4); ``tz`` counts a group's trailing zeros. ``mask``
-    and ``fixed`` hold, per layout code ``(negative * 18 + form) * 12 +
-    last``, the bytes kept from ``words`` and the constant bytes; form is
-    e + 4 for -4 <= e < 12, then 16 and 17 for exponent form with a plus or
-    minus sign, and last indexes the mantissa's last nonzero digit.
-    """
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48  # "0000".."9999"
-    zero = np.arange(10) == 0
-    tz = zero * (1 + zero[:, None] * (1 + zero[:, None, None] * (1 + zero[:, None, None, None])))
-    words = np.zeros((10100, 8), np.uint8)
-    words[:10000, ::2] = digits
-    words[10000:, 2:4] = digits[:100, 2:]
-
-    neg, form, last = np.indices((2, 18, 12)).reshape(3, -1, 1)
-    expo = form >= 16
-    point = np.where(expo, 0, form - 4)  # index of the last integer digit
-    j = np.arange(12)
-    mask = np.zeros((len(neg), 40), np.uint8)
-    fixed = np.zeros((len(neg), 40), np.uint8)
-    fixed[:, :1] = 45 * neg
-    fixed[:, 1:6] = np.frombuffer(b"0.000", np.uint8) * (point < np.minimum(0, 1 - np.arange(5)))
-    mask[:, 8:32:2] = 255 * (j <= np.maximum(point, last))
-    fixed[:, 9:32:2] = 46 * ((j == point) & (last > point))
-    fixed[:, 32:34] = np.where(form == 17, [101, 45], [101, 43]) * expo
-    mask[:, 34:36] = 255 * expo
-    words, mask, fixed = (t.view(np.uint64) for t in (words, mask, fixed))
-    return words.ravel(), tz.ravel().astype(np.intp), mask, fixed
+def _digit_words():
+    """The four-digit ASCII groups "0000".."9999" as uint32 words."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48
+    return digits.copy().view(np.uint32).ravel()  # the copy is C-ordered
 
 
 def _format_rows(x) -> bytes:
-    """CSV bytes of a (rows, columns) float array, each cell format(v, FLOAT_FORMAT)."""
-    words, tz, mask, fixed = _cell_tables()
+    """CSV bytes of a (rows, columns) float array, each cell format(v, ".12g")."""
     ok = np.isfinite(x) & (x != 0)
     a = np.where(ok, np.abs(x), 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
@@ -251,22 +230,30 @@ def _format_rows(x) -> bytes:
     e += carry
     m = np.where(ok & ~carry, m, 1e11).astype(np.int64)
 
+    words = _digit_words()
     hi, rest = np.divmod(m, 10**8)
-    mid, lo = np.divmod(rest, 10**4)
-    # Word 0 (sign, "0.000") takes no digits: its mask is zero.
-    idx = np.stack([hi, hi, mid, lo, 10000 + np.minimum(np.abs(e), 99)], axis=-1)
-    zeros = tz[lo] + (lo == 0) * (tz[mid] + (mid == 0) * tz[hi])
-    form = np.where((e >= -4) & (e < 12), e + 4, 16 + (e < 0))
-    code = ((x < 0) * 18 + form) * 12 + 11 - zeros
-    slots = np.take(words, idx) & np.take(mask, code, axis=0) | np.take(fixed, code, axis=0)
-
-    cells = slots.view(np.uint8)
-    cells[..., _SEP] = [44] * (x.shape[1] - 1) + [10]
-    if not ok.all():
-        cells[~ok, :_SEP] = np.array(
-            [format(v, FLOAT_FORMAT) for v in x[~ok].tolist()], dtype=f"S{_SEP}"
-        ).view(np.uint8).reshape(-1, _SEP)
-    return cells.tobytes().translate(None, b"\0")
+    digits = np.take(words, np.stack([hi, rest // 10**4, rest % 10**4], axis=-1)).view(np.uint8)
+    last = 11 - np.argmax(digits[..., ::-1] != 48, axis=-1)  # last nonzero digit
+    expo = (e < -4) | (e >= 12)
+    point = np.where(expo, 0, e)  # index of the last integer digit
+    out = np.zeros(x.shape + (_SLOT,), np.uint8)
+    out[..., 0] = 45 * (x < 0)
+    out[..., 6:30:2] = np.where(np.arange(12) <= np.maximum(point, last)[..., None], digits, 0)
+    out[..., _SLOT - 1] = [44] * (x.shape[1] - 1) + [10]
+    cells = out.reshape(-1, _SLOT)
+    dot = np.flatnonzero((point >= 0) & (last > point))
+    cells[dot, 7 + 2 * point.ravel()[dot]] = 46
+    lead = ~expo & (e < 0)  # "0." and up to three zeros before the digits
+    cells[lead.ravel(), 1:6] = np.frombuffer(b"0.000", np.uint8) * (
+        e[lead][:, None] < np.minimum(0, 1 - np.arange(5))
+    )
+    tail = np.take(words, np.abs(e[expo])).view(np.uint8).reshape(-1, 4)  # "00dd"
+    tail[:, 0], tail[:, 1] = 101, np.where(e[expo] < 0, 45, 43)  # "e-dd", "e+dd"
+    cells[expo.ravel(), 30:34] = tail
+    cells[~ok.ravel(), : _SLOT - 1] = np.array(
+        [format(v, ".12g") for v in x[~ok].tolist()], dtype=f"S{_SLOT - 1}"
+    ).view(np.uint8).reshape(-1, _SLOT - 1)
+    return out.tobytes().translate(None, b"\0")
 
 
 def synthesize(

@@ -419,6 +419,18 @@ class TestInputFileErrors:
         assert json.loads(captured.out)["series"]["n_points"] == 20
 
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("year,value,note\n1,2,a\n2,3,caf\xe9\n3,4,b\n".encode("latin-1"))
+        code = main(["fit", str(path), "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"] == "line 3: not UTF-8 text: invalid continuation byte"
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -528,8 +540,16 @@ class TestParseTimeValidation:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == ""
-        assert json.loads(captured.out)["error"]["message"].endswith("points exceeds 1e+08")
+        assert json.loads(captured.out)["error"]["message"].endswith("points exceeds 1.15292e+18")
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--year-col", "--value-col"])
+    def test_column_name_not_utf8(self, tmp_path, capsys, flag):
+        # Undecodable argv bytes arrive as lone surrogates, which no UTF-8
+        # header can hold.
+        argv = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "10",
+                flag, "\udcff", "--out", str(tmp_path / "out" / "s.csv")]
+        self.assert_rejected(tmp_path, capsys, argv, flag)
 
     def test_non_numeric_grid_points_named(self, capsys):
         assert main(["diagnose", *F_G_PARAMS, "--grid-points", "x"]) == 1

@@ -134,6 +134,23 @@ class TestParseCsv:
         with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
             parse_csv(path)
 
+    @pytest.mark.parametrize("rows", [0, 2000], ids=["first-chunk", "later-chunk"])
+    def test_non_utf8_file_names_line(self, tmp_path, rows):
+        # A Latin-1 spreadsheet export; the file is decoded in chunks, and
+        # the line counts from the start of the file, not of the chunk.
+        path = tmp_path / "latin1.csv"
+        body = "".join(f"{t},{t + 1}\n" for t in range(rows))
+        path.write_bytes(f"year,value,note\n{body}".encode() + "1,2,caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=rf"^line {rows + 2}: not UTF-8 text: invalid"):
+            parse_csv(path)
+
+    def test_quoted_crlf_cell_kept_in_message(self):
+        # CRLF inside a quoted cell is cell text: the row loop reports it as is.
+        text = 'year,value\r\n1,2\r\n"19\r\n90",3\r\n'
+        message = r"^line 3: could not convert string to float: '19\\r\\n90'$"
+        with pytest.raises(ParseError, match=message):
+            parse_csv(io.StringIO(text, newline=""))
+
     def test_lone_cr_after_header_in_stream(self):
         with pytest.raises(ParseError, match=r"^line 1: new-line character"):
             parse_csv(io.StringIO("year,value\r1,2\n"))
