@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .diagnostics import (
 )
 from .errors import DataError, DomainError, ValidationError
 from .fitting import WEIGHTINGS, HyperbolicFit, fit_hyperbolic, fit_ratio, predict
-from .ingest import parse_csv, synthesize, write_columns, write_csv
+from .ingest import _CHUNK_ROWS, _format_json, parse_csv, synthesize, write_columns, write_csv
 from .ratio import RatioModel, classify_shape, eval_ratio, make_ratio
 from .series import TimeSeries
 
@@ -120,9 +121,9 @@ def _write_curve(out_dir: Path, stem: str, curve: DiagnosticsCurve, fmt: str) ->
 
 
 def _json_table(table: dict):
-    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline, C-encoded.
+    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline.
 
-    Yields the text in pieces, so a writer holds about one column at a time.
+    Yields the text in pieces of at most _CHUNK_ROWS cells, so a writer holds one at a time.
     """
     if not table:
         yield "{}\n"
@@ -130,10 +131,13 @@ def _json_table(table: dict):
     sep = "{\n"
     for key in sorted(table):
         yield f"{sep}  {json.dumps(key)}: "
-        column = np.asarray(table[key], dtype=float).tolist()
-        if column:
+        column = np.asarray(table[key], dtype=float)
+        if column.size:
             yield "[\n    "
-            yield json.dumps(column, separators=(",\n    ", ": "))[1:-1]
+            for start in range(0, column.size, _CHUNK_ROWS):
+                if start:
+                    yield ",\n    "
+                yield _format_json(column[start : start + _CHUNK_ROWS]).decode()
             yield "\n  ]"
         else:
             yield "[]"
@@ -150,6 +154,15 @@ def _emit_report(out_dir: Path, name: str, report: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     _write_json(out_dir / name, (text, "\n"))
     print(text)
+
+
+def _echo_path(path: Path) -> None:
+    """Print a path as its own bytes, which need not be text in stdout's encoding."""
+    if not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
+        print(path)
+        return
+    sys.stdout.flush()
+    sys.stdout.buffer.write(os.fsencode(path) + b"\n")
 
 
 def _emit_error(exc: Exception, exit_code: int) -> int:
@@ -350,7 +363,7 @@ def cmd_synth(args) -> int:
     )
     dest = Path(args.out) if args.out else out / "synthetic.csv"
     write_csv(series, dest, year_col=args.year_col, value_col=args.value_col)
-    print(str(dest))
+    _echo_path(dest)
     return EXIT_OK
 
 
@@ -368,7 +381,7 @@ def cmd_downsample(args) -> int:
     subset = TimeSeries(years=series.years[mask], values=series.values[mask], name=series.name)
     dest = Path(args.out) if args.out else out / "downsampled.csv"
     write_csv(subset, dest, year_col=args.year_col, value_col=args.value_col)
-    print(str(dest))
+    _echo_path(dest)
     return EXIT_OK
 
 
@@ -477,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--levels",
         nargs="+",
-        type=float,
+        type=_FINITE,
         default=None,
         help="ratio sizes for vs-size curves",
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from functools import cache
 from pathlib import Path
 
@@ -195,10 +196,11 @@ def write_columns(dest, header: list[str], columns) -> None:
 _POW10 = np.array([10**k for k in range(23)], dtype=float)
 _TIE_MARGIN = 1e-3
 _CHUNK_ROWS = 1 << 14
-# A cell's slot, NUL where unused: the sign, the "0.000" of -4 <= e < 0,
-# mantissa digit j at 6 + 2j and a point after it at 7 + 2j, "e", the
-# exponent's sign and two digits, the separator.
-_SLOT = 35
+_LEADS = np.array([b"0.000", b"0.00", b"0.0", b"0."]).view(np.uint8).reshape(4, 5)  # e = -4..-1
+# _format_json's half-widths 5**s, the powers of ten it tries, and its separator.
+_POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
+_STEPS = np.split(10 ** np.arange(1, 18, dtype=np.int64), [1, 2])
+_JSON_SEP = np.frombuffer(b",\n    ", np.uint8)
 
 
 def _scaled(a, e):
@@ -229,30 +231,102 @@ def _format_rows(x) -> bytes:
     carry = m >= 1e12  # rounded up to 10**(e + 1)
     e += carry
     m = np.where(ok & ~carry, m, 1e11).astype(np.int64)
+    seps = np.array([[44]] * (x.shape[1] - 1) + [[10]], np.uint8)  # "," or "\n"
+    return _lay_out(x, ok, m, e, 12, 12, False, seps, lambda v: format(v, ".12g"))
 
+
+def _split(v):
+    """Veltkamp's split: v == hi + lo exactly, each with at most 26 significant bits."""
+    c = v * 134217729.0  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _format_json(column) -> bytes:
+    """``json.dumps(column.tolist(), separators=(",\\n    ", ": "))[1:-1]``, encoded.
+
+    repr(v)'s digits are the multiple of 10**j nearest to X = |v| * 10**s,
+    for the largest j with one in v's rounding interval (scaled alike; its
+    ends count for an even mantissa). For s = 16 - floor(log10|v|) in
+    [0, 22], Dekker's product gives X in [1e16, 1e17) exactly, as the
+    integer N plus r in [-1/2, 1/2]. In units of spacing(|v|) * 2**(s - 1),
+    or 1/4 if coarser, distances and the half-width (5**s of the former) are
+    integers. No carry into a new decade: 10**(e + 1) is never inside, as
+    its float lies at or above it. json.dumps(v) writes zeros, non-finite
+    values, powers of two (lopsided intervals), other exponents and exact ties.
+    """
+    x = np.asarray(column, dtype=float).ravel()
+    a = np.abs(x)
+    ok = np.isfinite(a) & (a.view(np.uint64) & np.uint64(2**52 - 1) != 0)
+    a = np.where(ok, a, 1.5)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi = a * _POW10[np.clip(16 - e, 0, 22)]
+    e += (hi >= 1e17).astype(np.intp) - (hi < 1e16)  # log10 may miss by one
+    ok &= (e >= -6) & (e <= 16)
+    a, s = np.where(ok, a, 1.5), np.where(ok, 16 - e, 16)
+    hi = a * _POW10[s]
+    (ah, al), (ph, pl) = _split(a), _split(_POW10[s])
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl  # X = hi + lo
+    r = lo - np.rint(lo)
+    big = hi.astype(np.int64) + (lo - r).astype(np.int64)  # N
+    ok &= big >= 10**16  # X may round up to 1e16 from below
+    k = 54 - np.frexp(a)[1] - s  # spacing(|v|) * 2**(s - 1) == 2**-k
+    units = np.left_shift(1, np.maximum(k, 2))  # per 1
+    # Distances under limit are inside: the half-width, plus one for an even mantissa.
+    limit = (_POW5[s] << (np.maximum(k, 2) - k)) + ((a.view(np.uint64) & np.uint64(1)) == 0)
+    near = (big, (r * units).astype(np.int64), units, limit)
+    delta, tie = np.zeros_like(big), np.abs(r) == 0.5  # j = 0: N, or a tie with N +- 1
+    live = np.flatnonzero(ok)  # cells with a multiple of 10**(j - 1) inside
+    for steps in _STEPS:  # about half the cells need all 17 digits, and few under 16
+        b, ru, un, lim = (v[live, None] for v in near)
+        rem = b - b // steps * steps  # numpy divides faster than it takes remainders
+        d = rem - steps * ((rem > steps // 2) | ((rem == steps // 2) & (ru > 0)))  # N - nearest
+        count = (np.abs(np.clip(d, -16, 16) * un + ru) < lim).sum(axis=1)  # a prefix is inside
+        hit = (np.flatnonzero(count), count[count > 0] - 1)
+        delta[live[hit[0]]], tie[live[hit[0]]] = d[hit], ((rem == steps // 2) & (ru == 0))[hit]
+        live = live[count == steps.size]
+    ok &= ~tie
+    m = np.where(ok, big - delta, 10**16)
+    cells = _lay_out(x, ok, m, e, 17, 16, True, _JSON_SEP, json.dumps)
+    return cells[: -_JSON_SEP.size]  # no separator after the last cell
+
+
+def _lay_out(x, ok, m, e, width, fixed_end, point_zero, seps, fallback) -> bytes:
+    """Text of a float array, row by row, each cell followed by its separator.
+
+    A cell is written from m, its first ``width`` digits, and e, its exponent:
+    fixed for -4 <= e < fixed_end (".0" after integers if point_zero), else
+    d.ddde±dd, into a slot, NUL where unused: the sign, the "0.000" of e < 0,
+    digit j at 6 + 2j and a point at 7 + 2j, "e±dd", the separator.
+    fallback(v) writes cells not ok."""
     words = _digit_words()
-    hi, rest = np.divmod(m, 10**8)
-    digits = np.take(words, np.stack([hi, rest // 10**4, rest % 10**4], axis=-1)).view(np.uint8)
-    last = 11 - np.argmax(digits[..., ::-1] != 48, axis=-1)  # last nonzero digit
-    expo = (e < -4) | (e >= 12)
+    groups = -(-width // 4)
+    q = [0] + [m // 10 ** (4 * g) for g in range(groups - 1, -1, -1)]  # no slow %
+    quads = np.take(words, np.stack([b - a * 10**4 for a, b in zip(q, q[1:])], axis=-1))
+    digits = quads.view(np.uint8)[..., 4 * groups - width :]
+    last = width - 1 - np.argmax(digits[..., ::-1] != 48, axis=-1)  # last nonzero digit
+    expo = (e < -4) | (e >= fixed_end)
     point = np.where(expo, 0, e)  # index of the last integer digit
-    out = np.zeros(x.shape + (_SLOT,), np.uint8)
-    out[..., 0] = 45 * (x < 0)
-    out[..., 6:30:2] = np.where(np.arange(12) <= np.maximum(point, last)[..., None], digits, 0)
-    out[..., _SLOT - 1] = [44] * (x.shape[1] - 1) + [10]
-    cells = out.reshape(-1, _SLOT)
-    dot = np.flatnonzero((point >= 0) & (last > point))
+    end = np.maximum(point + (point_zero & ~expo), last)  # index of the last digit shown
+    tail = 6 + 2 * width  # "e±dd"
+    slot = tail + 4 + seps.shape[-1]
+    out = np.zeros(x.shape + (slot,), np.uint8)
+    out[..., 0] = (x < 0) * np.uint8(45)
+    keep = np.tril(np.full((4 * groups,) * 2, 255, np.uint8)).view(np.uint32)  # row k: k + 1 bytes
+    quads &= np.take(keep, end + 4 * groups - width, axis=0)  # NUL the digits not shown
+    out[..., 6:tail:2] = digits
+    out[..., tail + 4 :] = seps
+    cells = out.reshape(-1, slot)
+    dot = np.flatnonzero((point >= 0) & (end > point))
     cells[dot, 7 + 2 * point.ravel()[dot]] = 46
     lead = ~expo & (e < 0)  # "0." and up to three zeros before the digits
-    cells[lead.ravel(), 1:6] = np.frombuffer(b"0.000", np.uint8) * (
-        e[lead][:, None] < np.minimum(0, 1 - np.arange(5))
-    )
-    tail = np.take(words, np.abs(e[expo])).view(np.uint8).reshape(-1, 4)  # "00dd"
-    tail[:, 0], tail[:, 1] = 101, np.where(e[expo] < 0, 45, 43)  # "e-dd", "e+dd"
-    cells[expo.ravel(), 30:34] = tail
-    cells[~ok.ravel(), : _SLOT - 1] = np.array(
-        [format(v, ".12g") for v in x[~ok].tolist()], dtype=f"S{_SLOT - 1}"
-    ).view(np.uint8).reshape(-1, _SLOT - 1)
+    cells[lead.ravel(), 1:6] = np.take(_LEADS, e[lead] + 4, axis=0)
+    exps = np.take(words, np.abs(e[expo])).view(np.uint8).reshape(-1, 4)  # "00dd"
+    exps[:, 0], exps[:, 1] = 101, np.where(e[expo] < 0, 45, 43)  # "e-dd", "e+dd"
+    cells[expo.ravel(), tail : tail + 4] = exps
+    cells[~ok.ravel(), : tail + 4] = np.array(
+        [fallback(v) for v in x[~ok].tolist()], dtype=f"S{tail + 4}"
+    ).view(np.uint8).reshape(-1, tail + 4)
     return out.tobytes().translate(None, b"\0")
 
 
@@ -273,9 +347,10 @@ def synthesize(
     if noise_sigma < 0:
         raise ValidationError(f"noise_sigma must be non-negative, got {noise_sigma}")
     grid = np.asarray(grid, dtype=float)
-    values = eval_hyperbolic(params, grid)
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        values = values * np.exp(rng.normal(0.0, noise_sigma, size=values.shape))
+    with np.errstate(over="ignore"):  # the guard or the series rejects the inf or 0
+        values = eval_hyperbolic(params, grid)
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        if noise_sigma > 0:
+            rng = np.random.default_rng(seed)
+            values = values * np.exp(rng.normal(0.0, noise_sigma, size=values.shape))
     return TimeSeries(years=grid, values=values, name=name)

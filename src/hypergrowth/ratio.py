@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HyperbolicParams, eval_hyperbolic, past_guard, reciprocal_value
+from .core import eval_hyperbolic  # noqa: F401  (bench/tracing.py wraps this attribute)
+from .core import HyperbolicParams, past_guard, reciprocal_value
 from .errors import DomainError, NoSolutionError
 
 #: Pathways for evaluating the ratio; all agree to rounding error.
@@ -98,9 +99,9 @@ def eval_ratio(m: RatioModel, t, pathway: str = "direct"):
         raise ValueError(f"unknown pathway {pathway!r}; expected one of {PATHWAYS}")
     lin_f, lin_g = _guarded_lines(m, t)
     if pathway == "direct":
-        return eval_hyperbolic(m.f, t) / eval_hyperbolic(m.g, t)
+        return (1.0 / lin_f) / (1.0 / lin_g)
     if pathway == "hyperbolic_times_linear":
-        return eval_hyperbolic(m.f, t) * lin_g
+        return (1.0 / lin_f) * lin_g
     return lin_g / lin_f
 
 
@@ -132,12 +133,13 @@ def time_at_ratio(m: RatioModel, level: float) -> float:
     singularity are likewise rejected rather than reported.
     """
     level = float(level)
-    denom = level * m.f.k - m.g.k
-    if denom == 0.0:
-        raise NoSolutionError(
-            f"level {level:g} equals the asymptotic ratio k_g/k_f and is never attained"
-        )
-    t = (level * m.f.a - m.g.a) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite root is past the domain
+        denom = level * m.f.k - m.g.k
+        if denom == 0.0:
+            raise NoSolutionError(
+                f"level {level:g} equals the asymptotic ratio k_g/k_f and is never attained"
+            )
+        t = (level * m.f.a - m.g.a) / denom
     if past_domain(m, t):
         raise NoSolutionError(
             f"level {level:g} is only attained at t={t:.6g}, at or beyond the "

@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypergrowth
 from hypergrowth.cli import main
 
 from conftest import F_PARAMS, G_PARAMS
@@ -562,6 +567,82 @@ class TestParseTimeValidation:
         )
         assert code == 0
         assert len((tmp_path / "gradient_curve.csv").read_text().splitlines()) == 3
+
+
+class TestExtremeFlagValues:
+    """Flags at the edge of float range fail with their documented exit code.
+
+    No numpy RuntimeWarning may escape: warnings are errors inside main.
+    """
+
+    def run_strict(self, capsys, argv):
+        capsys.readouterr()  # drop what setup printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("level", ["inf", "nan"])
+    def test_non_finite_level_is_a_usage_error(self, tmp_path, capsys, level):
+        f = str(synth_file(tmp_path, "f.csv", F_PARAMS))
+        g = str(synth_file(tmp_path, "g.csv", G_PARAMS))
+        out_dir = tmp_path / "out"
+        argv = ["diagnose", "--gdp", f, "--pop", g, "--levels", level, "--out-dir", str(out_dir)]
+        code, captured = self.run_strict(capsys, argv)
+        assert code == 1
+        assert captured.out == ""
+        assert "argument --levels: must be finite" in captured.err
+        assert not out_dir.exists()
+
+    def test_overflowing_level_is_a_domain_error(self, tmp_path, capsys):
+        f = str(synth_file(tmp_path, "f.csv", F_PARAMS))
+        g = str(synth_file(tmp_path, "g.csv", G_PARAMS))
+        argv = ["diagnose", "--gdp", f, "--pop", g, "--levels", "1e308", "--out-dir", str(tmp_path)]
+        code, captured = self.run_strict(capsys, argv)
+        assert code == 3
+        assert captured.err == ""
+        message = json.loads(captured.out)["error"]["message"]
+        assert message.startswith("level 1e+308 is only attained at t=inf")
+
+    @pytest.mark.parametrize(
+        "flag, value, exit_code, message",
+        [
+            ("--k", "1e308", 3, "time at or beyond the singularity guard (singularity at t_s=1e-308)"),
+            ("--noise", "3000", 2, "series 'synthetic': non-finite value inf at year 2"),
+        ],
+    )
+    def test_synth_overflow(self, tmp_path, capsys, flag, value, exit_code, message):
+        argv = ["synth", "--a", "1", "--k", "0.001", "--from", "0", "--to", "3",
+                "--out", str(tmp_path / "s.csv"), "--out-dir", str(tmp_path), flag, value]
+        code, captured = self.run_strict(capsys, argv)
+        assert code == exit_code
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["message"] == message
+        assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs a file system that takes any name bytes")
+@pytest.mark.parametrize("command", ["synth", "downsample"])
+def test_output_path_echoed_as_its_bytes(tmp_path, command):
+    """A path that is not UTF-8 is printed byte for byte, even to a strict UTF-8 stdout."""
+    source = synth_file(tmp_path, "f.csv", F_PARAMS)
+    dest = os.fsencode(tmp_path) + b"/o\xff.csv"
+    args = {
+        "synth": ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "100"],
+        "downsample": ["downsample", str(source), "--years", "0", "100"],
+    }[command]
+    package_root = str(Path(hypergrowth.__file__).parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "hypergrowth.cli", *args, "--out", dest, "--out-dir", str(tmp_path)],
+        env=env,
+        capture_output=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    assert result.stdout == dest + b"\n"
+    assert os.path.exists(dest)
 
 
 @pytest.mark.skipif(shutil.which("hypergrowth") is None, reason="entry point not installed")

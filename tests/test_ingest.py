@@ -1,8 +1,10 @@
 import csv
 import io
+import json
 import math
 import re
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypergrowth import (
     synthesize,
     write_csv,
 )
+from hypergrowth.cli import _json_table
 
 from conftest import F_PARAMS
 
@@ -555,3 +558,122 @@ def test_write_columns_matches_format_on_bit_patterns(bits, n_cols, n_rows, nega
     rows = np.arange(n_rows, dtype=np.uint64)
     columns = [(np.resize(np.roll(pattern, col), n_rows) ^ rows).view(np.float64) for col in range(n_cols)]
     _assert_writes_oracle([c.tolist() for c in columns])
+
+
+# The JSON curve writer: repr(v) of every cell, as json.dumps writes a list.
+_JSON_SEPARATORS = (",\n    ", ": ")
+
+
+def _assert_writes_json(cells):
+    """_format_json's text equals json.dumps'; a failure names the first cells that differ.
+
+    Warnings are errors inside the writer only.
+    """
+    column = np.asarray(cells, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ingest._format_json(column).decode()
+    want = json.dumps(column.tolist(), separators=_JSON_SEPARATORS)[1:-1]
+    if got != want:
+        got_cells, want_cells = got.split(_JSON_SEPARATORS[0]), want.split(_JSON_SEPARATORS[0])
+        diff = [(g, w) for g, w in zip(got_cells, want_cells) if g != w]
+        pytest.fail(f"{len(got_cells)} cells written, {len(want_cells)} expected; "
+                    f"first differing (written, expected): {diff[:3]}")
+
+
+def _runs_from(starts, n=400):
+    """n consecutive floats from each start upward."""
+    bits = np.asarray(starts, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(n)).ravel().view(np.float64)
+
+
+def _scaled_to_17_digits(v):
+    """|v| * 10**s in [1e16, 1e17), exactly, with the same scaling of its half ulp."""
+    scale = Fraction(10) ** (16 - math.floor(math.log10(v)))
+    return Fraction(v) * scale, Fraction(math.ulp(v)) / 2 * scale
+
+
+def _equal_candidate_kinds(cells):
+    """How many cells lie exactly, and how many nearly, halfway between two
+    16-digit decimals, and how many have one on their rounding boundary with
+    an even and with an odd mantissa."""
+    kinds = {"exact tie": 0, "near tie": 0, "even boundary": 0, "odd boundary": 0}
+    for v in cells:
+        x, half_ulp = _scaled_to_17_digits(v)
+        offset = abs(x % 10 - 5)
+        kinds["exact tie"] += offset == 0
+        kinds["near tie"] += 0 < offset < 1
+        if any((x + h) % 10 == 0 for h in (half_ulp, -half_ulp)):
+            odd = np.float64(v).view(np.uint64) & np.uint64(1)
+            kinds["odd boundary" if odd else "even boundary"] += 1
+    return kinds
+
+
+_JSON_POWERS = _with_neighbours([float(f"1e{k}") for k in range(-8, 18)])
+_JSON_POWERS_OF_TWO = _with_neighbours([2.0**k for k in range(-30, 61)])
+_JSON_FORM_BOUNDARIES = _with_neighbours(
+    [1e-5, 1e-4, 1e15, 1e16, 9.999999999999999e-06, 9.999999999999999e-05, 0.00010000000000000002,
+     99999999999999.98, 999999999999999.9, 9999999999999998.0, 1.0000000000000002e16]
+)
+# Just above 2**-1, 2**43, 2**46 and 2**49 a value's rounding interval is over
+# ten units of its 16th digit wide, so two 16-digit candidates often lie
+# inside it, equally near or nearly so. Above 2**53 the interval's ends fall
+# on integers, so a 16-digit candidate can lie exactly on one.
+_JSON_EQUAL_CANDIDATES = _runs_from([0.5, 2.0**43, 2.0**46, 2.0**49, 2.0**54, 1e16])
+_JSON_SPECIALS = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1e100, 1e-100, 1e-7, 1e22, 1e23]
+
+
+def test_equal_candidate_cells_cover_ties_and_boundaries():
+    kinds = _equal_candidate_kinds(_JSON_EQUAL_CANDIDATES.tolist())
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize(
+    "cells",
+    [_JSON_POWERS, _JSON_POWERS_OF_TWO, _JSON_FORM_BOUNDARIES, _JSON_EQUAL_CANDIDATES,
+     _JSON_SPECIALS],
+    ids=["powers_of_ten", "powers_of_two", "form_boundaries", "equal_candidates", "specials"],
+)
+def test_format_json_edge_cells(cells, sign):
+    _assert_writes_json(np.asarray(cells) * sign)
+
+
+def test_format_json_dense_cells():
+    """Many cells: random magnitudes, short decimals and %.{p}g round trips."""
+    rng = np.random.default_rng(7)
+    n = 34_000
+    magnitudes = 10.0 ** rng.uniform(-7, 17, n)
+    short = [round(v, k) for v, k in zip(magnitudes.tolist(), rng.integers(0, 12, n).tolist())]
+    trips = [float(f"{v:.{p}g}") for v, p in zip(magnitudes.tolist(), rng.integers(1, 18, n).tolist())]
+    signs = rng.choice([-1.0, 1.0], 3 * n)
+    _assert_writes_json(np.concatenate([magnitudes, short, trips]) * signs)
+
+
+_JSON_BITS = st.integers(0, 2**64 - 1) | st.floats(1e-7, 1e17).map(
+    lambda v: int(np.float64(v).view(np.uint64))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=st.lists(_JSON_BITS, min_size=1, max_size=40),
+    n_cols=st.integers(1, 2),
+    n_rows=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+    negative=st.booleans(),
+)
+def test_json_table_matches_dumps_on_bit_patterns(bits, n_cols, n_rows, negative):
+    """Raw float64 bit patterns through the chunked JSON table writer.
+
+    The row index is XORed into the low mantissa bits, so no two rows match.
+    """
+    pattern = np.array(bits, dtype=np.uint64) | np.uint64(negative << 63)
+    rows = np.arange(n_rows, dtype=np.uint64)
+    table = {f"c{col}": (np.resize(np.roll(pattern, col), n_rows) ^ rows).view(np.float64)
+             for col in range(n_cols)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = "".join(_json_table(table))
+    want = json.dumps({k: v.tolist() for k, v in table.items()}, indent=2, sort_keys=True)
+    assert text == want + "\n"
