@@ -76,6 +76,8 @@ def _resolve_grid(args, default_start: float, default_end: float) -> np.ndarray:
     end = args.grid_to if args.grid_to is not None else default_end
     if end <= start:
         raise ValidationError(f"empty grid: grid end {end:g} not after start {start:g}")
+    if not math.isfinite(end - start):
+        raise ValidationError(f"grid span from {start:g} to {end:g} overflows float64")
     return np.linspace(start, end, args.grid_points)
 
 

@@ -14,6 +14,7 @@ Two complementary diagnostics for the "did growth change regime?" question:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ from .errors import HypergrowthError, InsufficientDataError, ValidationError
 from .fitting import _line_sse
 from .ratio import RatioModel, ratio_gradient, ratio_growth_rate, time_at_ratio
 from .series import TimeSeries, _frozen_array
-from .special import f_survival
 
 ABSCISSA_KINDS = ("time", "ratio_size")
 QUANTITIES = ("gradient", "growth_rate", "value")
@@ -191,6 +191,15 @@ def series_growth_rate(series: TimeSeries) -> DiagnosticsCurve:
     return DiagnosticsCurve("time", "growth_rate", t[1:-1], rate)
 
 
+def f_survival(f_stat: float, df_den: float) -> float:
+    """Upper tail P(F > f_stat) of the F distribution with 2 and ``df_den`` dof.
+
+    For 2 numerator dof the tail is elementary, (1 + 2f/df_den) ** (-df_den/2)
+    (Abramowitz & Stegun 26.6). F = 0 gives exactly 1 and F = inf gives 0.
+    """
+    return math.exp(-0.5 * df_den * math.log1p(2.0 * f_stat / df_den))
+
+
 def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> BreakTestResult:
     """Chow-style test for a structural break at ``break_year``.
 
@@ -225,7 +234,7 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
         f_stat, p_value = float("inf"), 0.0
     else:
         f_stat = max(0.0, (sse_single - sse_segmented) / 2.0 / (sse_segmented / (n - 4)))
-        p_value = f_survival(f_stat, 2.0, float(n - 4))
+        p_value = f_survival(f_stat, float(n - 4))
     decision = (
         BreakDecision.BREAK_DETECTED if p_value < alpha else BreakDecision.NO_BREAK
     )

@@ -97,11 +97,16 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
             f"series {series.name!r}: need at least 3 points to fit, got {len(series)}"
         )
     t = series.years
-    z = 1.0 / series.values
-    w = series.values**2 if weighting == "size_squared" else np.ones_like(z)
+    # Fit y' = y / 2**top, max(y') in [0.5, 1), so y'**2 and squared residuals neither
+    # overflow nor underflow; the scaling is exact, so normal-range fits are bitwise unchanged.
+    top = int(np.frexp(series.values.max())[1])
+    y = np.ldexp(series.values, -top)
+    z = 1.0 / y
+    w = y**2 if weighting == "size_squared" else np.ones_like(z)
 
     intercept, slope = _weighted_line(t, z, w)
-    a_hat, k_hat = intercept, -slope
+    with np.errstate(over="ignore"):  # an overflowing estimate is rejected below
+        a_hat, k_hat = np.ldexp([intercept, -slope], -top).tolist()
     if not (np.isfinite(a_hat) and np.isfinite(k_hat) and a_hat > 0 and k_hat > 0):
         raise FitRejectedError(
             f"series {series.name!r}: reciprocal regression gave a={a_hat:.6g}, "
@@ -109,7 +114,7 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
         )
     params = HyperbolicParams(a=a_hat, k=k_hat)
 
-    residuals = z - (a_hat - k_hat * t)
+    residuals = z - (intercept + slope * t)
     sse = float((w * residuals**2).sum())
     zbar = float((w * z).sum() / w.sum())
     sst = float((w * (z - zbar) ** 2).sum())
@@ -117,8 +122,8 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
     rmse = float(np.sqrt(sse / w.sum()))
     return HyperbolicFit(
         params=params,
-        residuals=residuals,
-        rmse_reciprocal=rmse,
+        residuals=np.ldexp(residuals, -top),
+        rmse_reciprocal=float(np.ldexp(rmse, -top)),
         r_squared_reciprocal=r_squared,
         n_points=len(series),
         weighting=weighting,

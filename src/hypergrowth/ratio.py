@@ -140,6 +140,11 @@ def time_at_ratio(m: RatioModel, level: float) -> float:
                 f"level {level:g} equals the asymptotic ratio k_g/k_f and is never attained"
             )
         t = (level * m.f.a - m.g.a) / denom
+    if np.isnan(t):  # inf/inf: the root lies within rounding of the numerator's singularity
+        raise NoSolutionError(
+            f"level {level:g} has no representable crossing time before the ratio "
+            f"domain end (earliest singularity at t_s={m.domain_end:.6g})"
+        )
     if past_domain(m, t):
         raise NoSolutionError(
             f"level {level:g} is only attained at t={t:.6g}, at or beyond the "

@@ -121,17 +121,21 @@ class TestFit:
         assert payload["error"]["type"] == "ParseError"
         assert "line 3" in payload["error"]["message"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_weights_exit_2(self, tmp_path, capsys):
-        # y**2 overflows to inf near 1e196, so the weighted fit is NaN.
+    @pytest.mark.filterwarnings("error")
+    def test_huge_values_fit_finite(self, tmp_path, capsys):
+        # Near 1e196, y**2 overflows and squared reciprocal residuals underflow
+        # unless the fit runs in scaled space.
         data = tmp_path / "huge.csv"
         rows = "".join(f"{i},{1e196 * (1 + 0.1 * i):.6g}\n" for i in range(5))
         data.write_text("year,value\n" + rows)
-        code, out = run_cli(
-            capsys, "fit", str(data), "--weighting", "size_squared", "--out-dir", str(tmp_path)
-        )
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "FitRejectedError"
+        for weighting in ("unweighted", "size_squared"):
+            code, out = run_cli(
+                capsys, "fit", str(data), "--weighting", weighting, "--out-dir", str(tmp_path)
+            )
+            assert code == 0
+            fit = json.loads(out)["fit"]
+            assert all(np.isfinite(fit[key]) for key in ("a", "k", "t_s", "r_squared_reciprocal"))
+            assert 0.0 < fit["rmse_reciprocal"] < 1e-197
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, out = run_cli(capsys, "fit", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path))
@@ -603,6 +607,33 @@ class TestExtremeFlagValues:
         assert captured.err == ""
         message = json.loads(captured.out)["error"]["message"]
         assert message.startswith("level 1e+308 is only attained at t=inf")
+
+    @pytest.mark.parametrize("level", ["1e308", "-1e308"])
+    def test_level_with_nan_root_is_unattainable(self, tmp_path, capsys, level):
+        # level*k_f and level*a_f both overflow, so the closed-form root is inf/inf
+        argv = ["diagnose", "--f-a", "4.5", "--f-k", "2", "--g-a", "7", "--g-k", "3.35e-3",
+                f"--levels={level}", "--out-dir", str(tmp_path)]
+        code, captured = self.run_strict(capsys, argv)
+        assert code == 3
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "NoSolutionError"
+        assert error["message"] == (
+            f"level {float(level):g} has no representable crossing time before the ratio "
+            "domain end (earliest singularity at t_s=2.25)"
+        )
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_overflowing_grid_span_is_a_data_error(self, tmp_path, capsys, command):
+        inputs = {"fit": [str(synth_file(tmp_path, "f.csv", F_PARAMS))], "diagnose": F_G_PARAMS}
+        argv = [command, *inputs[command], "--grid-from=-1.7e308", "--grid-to=1.7e308",
+                "--out-dir", str(tmp_path)]
+        code, captured = self.run_strict(capsys, argv)
+        assert code == 2
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == "grid span from -1.7e+308 to 1.7e+308 overflows float64"
 
     @pytest.mark.parametrize(
         "flag, value, exit_code, message",

@@ -1,5 +1,8 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from scipy import stats as sp_stats
 
 from hypergrowth import (
     BreakDecision,
@@ -22,6 +25,8 @@ from hypergrowth import (
     takeoff_scan,
     time_at_ratio,
 )
+
+from hypergrowth.diagnostics import f_survival
 
 from conftest import F_PARAMS
 
@@ -205,6 +210,42 @@ class TestBreakTest:
         # 3 strictly before, 3 strictly after; the 1750 point itself rides along
         result = break_test(series, 1750.0)
         assert result.decision is BreakDecision.NO_BREAK
+
+
+class TestFSurvival:
+    """The break test's F(2, nu) upper tail."""
+
+    def test_edges(self):
+        assert f_survival(0.0, 10.0) == 1.0
+        assert f_survival(float("inf"), 10.0) == 0.0
+
+    def test_known_value(self):
+        # F(2, 27) upper tail at its 95th percentile is 0.05
+        crit = sp_stats.f.ppf(0.95, 2, 27)
+        assert f_survival(crit, 27.0) == pytest.approx(0.05, abs=1e-12)
+
+    def test_against_scipy(self):
+        rng = np.random.default_rng(13)
+        worst = 0.0
+        for _ in range(2000):
+            df_den = float(rng.integers(1, 500))
+            f_val = 10.0 ** rng.uniform(-3, 2)
+            worst = max(worst, abs(f_survival(f_val, df_den) - sp_stats.f.sf(f_val, 2, df_den)))
+        assert worst < 1e-14
+
+    def test_matches_40_digit_decimal_oracle(self):
+        # relative error over nu in [1, 1e5], F in [1e-6, 1e3], wherever p >= 1e-300
+        worst = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for nu in np.geomspace(1.0, 1e5, 40):
+                for f_val in np.geomspace(1e-6, 1e3, 40):
+                    exact = (-Decimal(nu) / 2 * (1 + 2 * Decimal(f_val) / Decimal(nu)).ln()).exp()
+                    if exact < Decimal("1e-300"):
+                        continue
+                    got = Decimal(f_survival(float(f_val), float(nu)))
+                    worst = max(worst, abs(got - exact) / exact)
+        assert worst <= Decimal("1e-12")
 
 
 class TestTakeoffScan:

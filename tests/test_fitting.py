@@ -1,8 +1,11 @@
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergrowth import (
     DomainError,
@@ -17,6 +20,7 @@ from hypergrowth import (
     predict,
     synthesize,
 )
+from hypergrowth.fitting import WEIGHTINGS
 
 from conftest import F_PARAMS, G_PARAMS, random_params
 
@@ -67,6 +71,31 @@ class TestFitHyperbolic:
         wfit = fit_hyperbolic(series, weighting="size_squared")
         w = series.values**2
         assert abs((w * wfit.residuals).sum()) < 1e-9 * np.max(np.abs(w * z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(1e-2, 1e2),
+        t_s=st.floats(500.0, 5000.0),
+        n=st.integers(3, 40),
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(-900, 900),
+        weighting=st.sampled_from(WEIGHTINGS),
+    )
+    def test_power_of_two_scale_equivariance(self, a, t_s, n, seed, j, weighting):
+        # Fitting c*y with c = 2**j gives exactly (a/c, k/c), rmse/c and the same r**2.
+        years = np.linspace(0.0, 0.9 * t_s, n)
+        clean = 1.0 / (a - a / t_s * years)
+        values = clean * np.exp(np.random.default_rng(seed).normal(0.0, 0.01, n))
+        base = fit_hyperbolic(TimeSeries(years=years, values=values), weighting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = fit_hyperbolic(TimeSeries(years=years, values=np.ldexp(values, j)), weighting)
+        c = 2.0**j
+        assert scaled.params.a == base.params.a / c
+        assert scaled.params.k == base.params.k / c
+        assert scaled.rmse_reciprocal == base.rmse_reciprocal / c
+        assert scaled.r_squared_reciprocal == base.r_squared_reciprocal
+        assert np.array_equal(scaled.residuals, base.residuals / c)
 
     def test_rejects_non_growth_data(self):
         decreasing = TimeSeries(years=[0.0, 1.0, 2.0, 3.0], values=[10.0, 6.0, 3.0, 1.0])
