@@ -81,10 +81,6 @@ def _resolve_grid(args, default_start: float, default_end: float) -> np.ndarray:
     return np.linspace(start, end, args.grid_points)
 
 
-def _config_echo(args) -> dict:
-    return {key: value for key, value in vars(args).items() if key != "func"}
-
-
 def _fit_summary(fit: HyperbolicFit) -> dict:
     return {
         "a": fit.params.a,
@@ -152,21 +148,6 @@ def _write_json(path: Path, parts) -> None:
         fh.writelines(parts)
 
 
-def _emit_report(out_dir: Path, name: str, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    _write_json(out_dir / name, (text, "\n"))
-    print(text)
-
-
-def _echo_path(path: Path) -> None:
-    """Print a path as its own bytes, which need not be text in stdout's encoding."""
-    if not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
-        print(path)
-        return
-    sys.stdout.flush()
-    sys.stdout.buffer.write(os.fsencode(path) + b"\n")
-
-
 def _emit_error(exc: Exception, exit_code: int) -> int:
     error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
     print(json.dumps({"error": error}, indent=2, sort_keys=True))
@@ -181,10 +162,33 @@ def _load_series(path: str, args) -> TimeSeries:
     return series
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _fit_pair(args, numerator_path: str, denominator_path: str):
+    """Load and fit a numerator/denominator pair.
+
+    Returns the ratio fit, both series, the report's ``fits`` section and the
+    earliest year of either series, which is the default grid start.
+    """
+    pair = [_load_series(numerator_path, args), _load_series(denominator_path, args)]
+    rfit = fit_ratio(*pair, weighting=args.weighting)
+    fits = {
+        "numerator": _fit_summary(rfit.numerator_fit),
+        "denominator": _fit_summary(rfit.denominator_fit),
+    }
+    return rfit, pair, fits, min(float(series.years[0]) for series in pair)
+
+
+def _write_series(series: TimeSeries, args, out: Path, default_name: str) -> None:
+    """Write a series CSV to ``--out`` (default: ``default_name`` in ``out``); print its path.
+
+    The path is printed as its own bytes, which need not be text in stdout's encoding.
+    """
+    dest = Path(args.out) if args.out else out / default_name
+    write_csv(series, dest, year_col=args.year_col, value_col=args.value_col)
+    if not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
+        print(dest)
+        return
+    sys.stdout.flush()
+    sys.stdout.buffer.write(os.fsencode(dest) + b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,7 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
+def cmd_fit(args, out: Path) -> dict:
     series = _load_series(args.input, args)
     fit = fit_hyperbolic(series, weighting=args.weighting)
     grid = _resolve_grid(args, float(series.years[0]), last_guarded_time(fit.params))
@@ -201,10 +204,7 @@ def cmd_fit(args) -> int:
     curve_file = _write_table(
         out, "fitted_curve", ["year", "value"], [curve.years, curve.values], args.format
     )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fit",
-        "config": _config_echo(args),
+    return {
         "series": {
             "name": series.name,
             "n_points": len(series),
@@ -213,17 +213,11 @@ def cmd_fit(args) -> int:
         "fit": _fit_summary(fit),
         "artifacts": {"fitted_curve": curve_file},
     }
-    _emit_report(out, "fit_report.json", report)
-    return EXIT_OK
 
 
-def cmd_ratio(args) -> int:
-    out = _out_dir(args)
-    numerator = _load_series(args.numerator, args)
-    denominator = _load_series(args.denominator, args)
-    rfit = fit_ratio(numerator, denominator, weighting=args.weighting)
+def cmd_ratio(args, out: Path) -> dict:
+    rfit, _, fits, start = _fit_pair(args, args.numerator, args.denominator)
     model = rfit.model
-
     observed_file = _write_table(
         out,
         "ratio_observed_vs_model",
@@ -231,58 +225,32 @@ def cmd_ratio(args) -> int:
         [rfit.common_years, rfit.observed_ratio, rfit.predicted_ratio, rfit.residuals],
         args.format,
     )
-    start = min(float(numerator.years[0]), float(denominator.years[0]))
     grid = _resolve_grid(args, start, _model_guard_time(model))
     curve_file = _write_table(
         out, "ratio_curve", ["year", "value"], [grid, eval_ratio(model, grid)], args.format
     )
-
     residuals = rfit.residuals
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ratio",
-        "config": _config_echo(args),
-        "fits": {
-            "numerator": _fit_summary(rfit.numerator_fit),
-            "denominator": _fit_summary(rfit.denominator_fit),
-        },
+    return {
+        "fits": fits,
         "ratio": _model_summary(model),
         "residuals": {
             "n_common_years": int(rfit.common_years.size),
             "rmse": float(np.sqrt(np.mean(residuals**2))) if residuals.size else None,
             "max_abs": float(np.max(np.abs(residuals))) if residuals.size else None,
         },
-        "artifacts": {
-            "observed_vs_model": observed_file,
-            "ratio_curve": curve_file,
-        },
+        "artifacts": {"observed_vs_model": observed_file, "ratio_curve": curve_file},
     }
-    _emit_report(out, "ratio_report.json", report)
-    return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
-    out = _out_dir(args)
-    data_mode = args.gdp is not None
-    break_targets: list[TimeSeries] = []
-    fits = {}
-
-    if data_mode:
-        numerator = _load_series(args.gdp, args)
-        denominator = _load_series(args.pop, args)
-        rfit = fit_ratio(numerator, denominator, weighting=args.weighting)
+def cmd_diagnose(args, out: Path) -> dict:
+    if args.gdp is not None:
+        rfit, break_targets, fits, default_start = _fit_pair(args, args.gdp, args.pop)
         model = rfit.model
-        fits = {
-            "numerator": _fit_summary(rfit.numerator_fit),
-            "denominator": _fit_summary(rfit.denominator_fit),
-        }
-        default_start = min(float(numerator.years[0]), float(denominator.years[0]))
-        break_targets = [numerator, denominator]
     else:
+        rfit, break_targets, fits, default_start = None, [], {}, 0.0
         model = make_ratio(
             HyperbolicParams(args.f_a, args.f_k), HyperbolicParams(args.g_a, args.g_k)
         )
-        default_start = 0.0
     if args.series is not None:
         break_targets.append(_load_series(args.series, args))
 
@@ -293,27 +261,19 @@ def cmd_diagnose(args) -> int:
         "gradient_curve": _write_curve(out, "gradient_curve", grad, args.format),
         "growth_rate_curve": _write_curve(out, "growth_rate_curve", rate, args.format),
     }
-
-    monotonicity = {}
-    for label, curve in (("gradient", grad), ("growth_rate", rate)):
-        check = monotonicity_check(curve)
-        monotonicity[label] = {
-            "verdict": check.verdict.value,
-            "first_violation": check.first_violation,
-        }
+    monotonicity = {
+        label: dataclasses.asdict(monotonicity_check(curve))
+        for label, curve in (("gradient", grad), ("growth_rate", rate))
+    }
 
     if args.levels:
         grad_vs, rate_vs = curves_vs_size(model, args.levels)
         for stem, curve in (("gradient_vs_size", grad_vs), ("growth_rate_vs_size", rate_vs)):
             artifacts[stem] = _write_curve(out, stem, curve, args.format)
 
-    if data_mode:
+    if rfit is not None:
         observed = series_growth_rate(
-            TimeSeries(
-                years=rfit.common_years,
-                values=rfit.observed_ratio,
-                name="observed ratio",
-            )
+            TimeSeries(years=rfit.common_years, values=rfit.observed_ratio, name="observed ratio")
         )
         artifacts["observed_growth_rate"] = _write_curve(
             out, "observed_growth_rate", observed, args.format
@@ -329,11 +289,7 @@ def cmd_diagnose(args) -> int:
         ]
         for target in break_targets
     }
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "diagnose",
-        "config": _config_echo(args),
+    return {
         "model": _model_summary(model),
         "fits": fits,
         "monotonicity": monotonicity,
@@ -345,12 +301,9 @@ def cmd_diagnose(args) -> int:
         },
         "artifacts": artifacts,
     }
-    _emit_report(out, "diagnose_report.json", report)
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    out = _out_dir(args)
+def cmd_synth(args, out: Path) -> None:
     params = HyperbolicParams(args.a, args.k)
     if args.step <= 0:
         raise ValidationError(f"step must be positive, got {args.step:g}")
@@ -363,14 +316,10 @@ def cmd_synth(args) -> int:
     series = synthesize(
         params, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic"
     )
-    dest = Path(args.out) if args.out else out / "synthetic.csv"
-    write_csv(series, dest, year_col=args.year_col, value_col=args.value_col)
-    _echo_path(dest)
-    return EXIT_OK
+    _write_series(series, args, out, "synthetic.csv")
 
 
-def cmd_downsample(args) -> int:
-    out = _out_dir(args)
+def cmd_downsample(args, out: Path) -> None:
     series = parse_csv(args.input, year_col=args.year_col, value_col=args.value_col)
     wanted = np.asarray(args.years, dtype=float)
     missing = sorted(set(wanted.tolist()) - set(series.years.tolist()))
@@ -381,10 +330,7 @@ def cmd_downsample(args) -> int:
         )
     mask = np.isin(series.years, wanted)
     subset = TimeSeries(years=series.years[mask], values=series.values[mask], name=series.name)
-    dest = Path(args.out) if args.out else out / "downsampled.csv"
-    write_csv(subset, dest, year_col=args.year_col, value_col=args.value_col)
-    _echo_path(dest)
-    return EXIT_OK
+    _write_series(subset, args, out, "downsampled.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +487,12 @@ def _validate_diagnose_args(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand in its ``--out-dir``; returns the exit code.
+
+    ``fit``, ``ratio`` and ``diagnose`` return their report sections, which
+    go out as ``<command>_report.json`` and on stdout inside the envelope of
+    ``schema_version``, ``command`` and the resolved ``config``.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -548,13 +500,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except DataError as exc:
-        return _emit_error(exc, EXIT_DATA)
-    except OSError as exc:
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        sections = args.func(args, out)
+        if sections is not None:
+            config = {key: value for key, value in vars(args).items() if key != "func"}
+            report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                      "config": config, **sections}
+            text = json.dumps(report, indent=2, sort_keys=True)
+            _write_json(out / f"{args.command}_report.json", (text, "\n"))
+            print(text)
+    except (DataError, OSError) as exc:
         return _emit_error(exc, EXIT_DATA)
     except DomainError as exc:
         return _emit_error(exc, EXIT_DOMAIN)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -108,23 +108,33 @@ class TakeoffScanEntry:
     error: str | None = None
 
 
+def _time_curve(m: RatioModel, quantity: str, evaluate, grid) -> DiagnosticsCurve:
+    """``evaluate(m, grid)`` as a time curve, refused where it underflows.
+
+    Both quantities are C over a product of two nonzero lines, so with C != 0
+    a value below the smallest normal float has lost digits to underflow, and
+    a curve of such values can contradict the sign of C.
+    """
+    grid = np.asarray(grid, dtype=float)
+    curve = DiagnosticsCurve("time", quantity, grid, evaluate(m, grid))
+    small = np.abs(curve.values) < np.finfo(float).tiny
+    if m.modulation_constant != 0.0 and small.any():
+        i = int(np.argmax(small))
+        raise ValidationError(
+            f"ratio {quantity} {curve.values[i]:g} at year {curve.x[i]:g} underflows "
+            f"float64 (smallest normal {np.finfo(float).tiny:g})"
+        )
+    return curve
+
+
 def gradient_curve(m: RatioModel, grid) -> DiagnosticsCurve:
     """Sample the ratio's gradient over a strictly increasing time grid."""
-    grid = np.asarray(grid, dtype=float)
-    return DiagnosticsCurve(
-        abscissa_kind="time", quantity="gradient", x=grid, values=ratio_gradient(m, grid)
-    )
+    return _time_curve(m, "gradient", ratio_gradient, grid)
 
 
 def growth_rate_curve(m: RatioModel, grid) -> DiagnosticsCurve:
     """Sample the ratio's growth rate over a strictly increasing time grid."""
-    grid = np.asarray(grid, dtype=float)
-    return DiagnosticsCurve(
-        abscissa_kind="time",
-        quantity="growth_rate",
-        x=grid,
-        values=ratio_growth_rate(m, grid),
-    )
+    return _time_curve(m, "growth_rate", ratio_growth_rate, grid)
 
 
 def curves_vs_size(m: RatioModel, levels) -> tuple[DiagnosticsCurve, DiagnosticsCurve]:

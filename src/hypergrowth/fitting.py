@@ -99,8 +99,15 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
     t = series.years
     # Fit y' = y / 2**top, max(y') in [0.5, 1), so y'**2 and squared residuals neither
     # overflow nor underflow; the scaling is exact, so normal-range fits are bitwise unchanged.
+    # The sums of n squared reciprocals stay finite while n / min(y')**2 does.
     top = int(np.frexp(series.values.max())[1])
     y = np.ldexp(series.values, -top)
+    if y.min() < np.sqrt(len(series) / np.finfo(float).max):
+        raise FitRejectedError(
+            f"series {series.name!r}: values from {series.values.min():g} to "
+            f"{series.values.max():g} span too wide a range for their squared "
+            f"reciprocals to fit in float64"
+        )
     z = 1.0 / y
     w = y**2 if weighting == "size_squared" else np.ones_like(z)
 

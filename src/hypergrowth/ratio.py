@@ -109,19 +109,22 @@ def ratio_gradient(m: RatioModel, t):
     """Time derivative of the ratio: C / (a_f - k_f*t)**2.
 
     Shares the sign of C for every valid t, which is what rules out any
-    change of growth direction.
+    change of growth direction. Dividing by the line twice, rather than by
+    its square, cannot overflow far from the singularities.
     """
     lin_f, _ = _guarded_lines(m, t)
-    return m.modulation_constant / lin_f**2
+    return m.modulation_constant / lin_f / lin_f
 
 
 def ratio_growth_rate(m: RatioModel, t):
-    """Logarithmic growth rate d(ln R)/dt = k_f/(a_f-k_f*t) - k_g/(a_g-k_g*t).
+    """Logarithmic growth rate d(ln R)/dt = C / ((a_f - k_f*t) * (a_g - k_g*t)).
 
-    Positive for all valid t iff C > 0; satisfies R' = R * d(ln R)/dt.
+    Equals k_f/(a_f-k_f*t) - k_g/(a_g-k_g*t), whose two terms cancel as |t|
+    grows; the closed form keeps the sign of C. Positive for all valid t iff
+    C > 0; satisfies R' = R * d(ln R)/dt.
     """
     lin_f, lin_g = _guarded_lines(m, t)
-    return m.f.k / lin_f - m.g.k / lin_g
+    return m.modulation_constant / lin_f / lin_g
 
 
 def time_at_ratio(m: RatioModel, level: float) -> float:

@@ -636,6 +636,31 @@ class TestExtremeFlagValues:
         assert error["message"] == "grid span from -1.7e+308 to 1.7e+308 overflows float64"
 
     @pytest.mark.parametrize(
+        "extreme, monotone",
+        [(["--grid-from=-1e16"], True), (["--grid-from=-1e20"], True),
+         (["--grid-from=-1e156"], False), (["--grid-from=-1e200"], False),
+         (["--grid-from=-1.7e308"], False), (["--f-a", "1e308", "--f-k", "1e-308"], False)],
+        ids=["-1e16", "-1e20", "-1e156", "-1e200", "-1.7e308", "f-a-1e308"],
+    )
+    def test_far_grid_verdicts_keep_the_sign_of_c(self, tmp_path, capsys, extreme, monotone):
+        # Far from both singularities the curves are tiny: they keep the sign of C,
+        # or, once a value falls below float64's normal range, the grid is refused.
+        params = F_G_PARAMS[4:] if extreme[0] == "--f-a" else F_G_PARAMS
+        argv = ["diagnose", *params, *extreme, "--candidates", "--out-dir", str(tmp_path)]
+        code, captured = self.run_strict(capsys, argv)
+        assert captured.err == ""
+        if monotone:
+            assert code == 0
+            verdicts = {entry["verdict"] for entry in json.loads(captured.out)["monotonicity"].values()}
+            assert verdicts == {"monotone_increasing"}
+        else:
+            assert code == 2
+            error = json.loads(captured.out)["error"]
+            assert error["type"] == "ValidationError"
+            assert error["message"].startswith("ratio gradient ")
+            assert "underflows float64" in error["message"]
+
+    @pytest.mark.parametrize(
         "flag, value, exit_code, message",
         [
             ("--k", "1e308", 3, "time at or beyond the singularity guard (singularity at t_s=1e-308)"),
@@ -650,6 +675,91 @@ class TestExtremeFlagValues:
         assert captured.err == ""
         assert json.loads(captured.out)["error"]["message"] == message
         assert not (tmp_path / "s.csv").exists()
+
+
+SYNTH_F = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "2000", "--step", "100"]
+
+# (case, argv, exit code, error type); {name} is replaced by that input file's path.
+FAILURES = [
+    ("parse", ["fit", "{bad}"], 2, "ParseError"),
+    ("validation", ["downsample", "{f}", "--years", "0", "1234"], 2, "ValidationError"),
+    ("insufficient_data", ["fit", "{two_points}"], 2, "InsufficientDataError"),
+    ("fit_rejected", ["fit", "{falling}"], 2, "FitRejectedError"),
+    ("fit_span", ["fit", "{wide}"], 2, "FitRejectedError"),
+    ("synth_domain", [*SYNTH_F, "--to", "2100"], 3, "DomainError"),
+    ("unattainable_level", ["diagnose", *F_G_PARAMS, "--levels", "1.0"], 3, "NoSolutionError"),
+    ("empty_grid", ["fit", "{f}", "--grid-from", "2000", "--grid-to", "1000"], 2, "ValidationError"),
+    ("grid_span_overflow", ["diagnose", *F_G_PARAMS, "--grid-from=-1.7e308", "--grid-to=1.7e308"],
+     2, "ValidationError"),
+    ("gradient_underflow", ["diagnose", *F_G_PARAMS, "--grid-from=-1e200"], 2, "ValidationError"),
+    ("out_dir_is_a_file", ["fit", "{f}", "--out-dir", "{f}"], 2, "FileExistsError"),
+]
+
+USAGE_ERRORS = [
+    ["frobnicate"],
+    ["synth", "--a", "4.5"],
+    ["diagnose"],
+    ["diagnose", "--gdp", "{f}"],
+    ["diagnose", *F_G_PARAMS, "--alpha", "2"],
+    ["diagnose", *F_G_PARAMS, "--levels", "inf"],
+    ["fit", "{f}", "--grid-points", "1"],
+    [*SYNTH_F, "--a", "nan"],
+]
+
+
+class TestEveryFailurePath:
+    """Each failure exits with its documented code; stderr stays empty on data and domain errors.
+
+    Runs in process with every warning an error, so no numpy RuntimeWarning can escape.
+    """
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        files = {
+            "f": synth_file(tmp_path, "f.csv", F_PARAMS),
+            "bad": tmp_path / "bad.csv",
+            "two_points": tmp_path / "two.csv",
+            "falling": tmp_path / "falling.csv",
+            "wide": tmp_path / "wide.csv",
+        }
+        files["bad"].write_text("year,value\n1,1\n2,oops\n")
+        files["two_points"].write_text("year,value\n1,1\n2,2\n")
+        files["falling"].write_text("year,value\n0,10\n1,6\n2,3\n3,1\n")
+        files["wide"].write_text("year,value\n0,1e-200\n1,1e-100\n2,1\n3,1e100\n4,1e200\n")
+        return {name: str(path) for name, path in files.items()}
+
+    def run_strict(self, capsys, argv, inputs):
+        capsys.readouterr()  # drop what setup printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([arg.format(**inputs) for arg in argv])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, exit_code, error_type", [case[1:] for case in FAILURES],
+                             ids=[case[0] for case in FAILURES])
+    def test_error_json_on_stdout(self, tmp_path, capsys, inputs, argv, exit_code, error_type):
+        if "--out-dir" not in argv:
+            argv = [*argv, "--out-dir", str(tmp_path / "out")]
+        code, captured = self.run_strict(capsys, argv, inputs)
+        assert code == exit_code
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert captured.out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert list(payload) == ["error"]
+        assert sorted(payload["error"]) == ["exit_code", "message", "type"]
+        assert payload["error"]["type"] == error_type
+        assert payload["error"]["exit_code"] == exit_code
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv))
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, monkeypatch, inputs, argv):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, captured = self.run_strict(capsys, argv, inputs)
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage:")
+        assert list(work.iterdir()) == []
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs a file system that takes any name bytes")

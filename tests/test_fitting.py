@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypergrowth import (
@@ -96,6 +96,45 @@ class TestFitHyperbolic:
         assert scaled.rmse_reciprocal == base.rmse_reciprocal / c
         assert scaled.r_squared_reciprocal == base.r_squared_reciprocal
         assert np.array_equal(scaled.residuals, base.residuals / c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(1e-2, 1e2),
+        t_s=st.floats(500.0, 5000.0),
+        n=st.integers(3, 40),
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.integers(-10**5, 10**5),
+        weighting=st.sampled_from(WEIGHTINGS),
+    )
+    def test_time_shift_equivariance(self, a, t_s, n, seed, tau, weighting):
+        # 1/y = a - k*t = (a + k*tau) - k*(t + tau): fitting at shifted integer years
+        # gives the same k and r**2 and the intercept a + k*tau, up to rounding.
+        rng = np.random.default_rng(seed)
+        years = np.sort(rng.choice(int(0.9 * t_s), size=n, replace=False)).astype(float)
+        values = np.exp(rng.normal(0.0, 0.01, n)) / (a - a / t_s * years)
+        try:
+            base = fit_hyperbolic(TimeSeries(years=years, values=values), weighting)
+            shifted = fit_hyperbolic(TimeSeries(years=years + tau, values=values), weighting)
+        except FitRejectedError:
+            assume(False)
+        a0, k0 = base.params.a, base.params.k
+        assert shifted.params.k == pytest.approx(k0, rel=1e-12, abs=0.0)
+        assert abs(shifted.params.a - (a0 + k0 * tau)) <= 1e-12 * (abs(a0) + abs(k0 * tau))
+        assert shifted.r_squared_reciprocal == pytest.approx(base.r_squared_reciprocal, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize(
+        "values",
+        [[1e-200, 1e-100, 1, 1e100, 1e200], [1e-160, 1e-100, 1e-50, 1]],
+        ids=["underflow", "square-overflow"],
+    )
+    def test_rejects_values_spanning_float_range(self, weighting, values):
+        # Scaled by the largest value, 1e-200 underflows to 0 and 1/y divides by zero;
+        # 1e-160 stays normal, but its squared reciprocal overflows.
+        series = TimeSeries(years=np.arange(float(len(values))), values=values, name="wide")
+        with pytest.raises(FitRejectedError, match=f"^series 'wide': values from {values[0]:g} to "):
+            fit_hyperbolic(series, weighting)
 
     def test_rejects_non_growth_data(self):
         decreasing = TimeSeries(years=[0.0, 1.0, 2.0, 3.0], values=[10.0, 6.0, 3.0, 1.0])

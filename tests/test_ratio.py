@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +106,13 @@ class TestGradient:
         assert ratio_gradient(escalating_model, 1000.0) > 0
         assert ratio_gradient(diminishing_model, 1000.0) < 0
 
+    def test_no_square_overflow_far_in_the_past(self, escalating_model, diminishing_model):
+        # (a_f - k_f*t)**2 overflows at t = -1e157; C / lin / lin is a tiny number of C's sign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ratio_gradient(escalating_model, -1e157) > 0
+            assert ratio_gradient(diminishing_model, -1e157) < 0
+
 
 class TestGrowthRate:
     def test_value_at_origin(self, escalating_model):
@@ -113,6 +123,15 @@ class TestGrowthRate:
         m = make_ratio(f_params, f_params)
         for t in (0.0, 500.0, 2000.0):
             assert ratio_growth_rate(m, t) == 0.0
+
+    @pytest.mark.parametrize("t", [-1e16, -1e20, -1e150])
+    def test_exact_far_from_singularities(self, escalating_model, diminishing_model, t):
+        # k_f/lin_f - k_g/lin_g cancels to noise as |t| grows; the value must stay
+        # C / (lin_f * lin_g), computed here in exact rationals from the float parameters.
+        for m in (escalating_model, diminishing_model):
+            af, kf, ag, kg, tt = map(Fraction, (m.f.a, m.f.k, m.g.a, m.g.k, t))
+            exact = (kf * ag - kg * af) / ((af - kf * tt) * (ag - kg * tt))
+            assert ratio_growth_rate(m, t) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_gradient_identity(self, escalating_model):
         for t in (0.0, 800.0, 1900.0, 2040.0):
