@@ -37,6 +37,7 @@ from .errors import (
     InsufficientDataError,
     NoSolutionError,
     ParseError,
+    UnrepresentableError,
     ValidationError,
 )
 from .fitting import HyperbolicFit, RatioFit, fit_hyperbolic, fit_ratio, predict

@@ -53,7 +53,8 @@ def reciprocal_value(p: HyperbolicParams, t):
 
     Defined for every t, unlike the trajectory itself.
     """
-    return p.a - p.k * np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):  # +-inf far out: callers refuse it, never warn
+        return p.a - p.k * np.asarray(t, dtype=float)
 
 
 def past_guard(p: HyperbolicParams, t):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypergrowthError, InsufficientDataError, ValidationError
-from .fitting import _line_sse
+from .errors import HypergrowthError, InsufficientDataError, UnrepresentableError, ValidationError
+from .fitting import _line_sse, _reciprocal
 from .ratio import RatioModel, ratio_gradient, ratio_growth_rate, time_at_ratio
 from .series import TimeSeries, _frozen_array
 
@@ -213,18 +213,17 @@ def f_survival(f_stat: float, df_den: float) -> float:
 def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> BreakTestResult:
     """Chow-style test for a structural break at ``break_year``.
 
-    The series is transformed to reciprocal space, where the no-break null
-    is a single straight line. The F statistic compares that line's residual
-    sum against two independently fitted lines split at the break year
-    (observations exactly at the break year join the second segment), with
-    2 restrictions and n-4 denominator degrees of freedom. Noiseless data
+    On the fit's scaled reciprocals, where the no-break null is a single
+    straight line, the F statistic compares that line's residual sum against
+    two independently fitted lines split at the break year (observations at
+    it join the second segment), with 2 and n-4 degrees of freedom; scaling
+    the values by a power of two leaves F and p unchanged. Noiseless data
     that a single line explains exactly carries no evidence of a break:
     the statistic is defined as 0 and the p-value as 1.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     t = series.years
-    z = 1.0 / series.values
     before = t < break_year
     after = t > break_year
     if before.sum() < 3 or after.sum() < 3:
@@ -232,12 +231,10 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
             f"series {series.name!r}: need at least 3 points strictly on each side "
             f"of {break_year:g}, got {int(before.sum())} before and {int(after.sum())} after"
         )
-    second = ~before
-    sse_single = _line_sse(t, z)
-    sse_segmented = _line_sse(t[before], z[before]) + _line_sse(t[second], z[second])
-
+    z, w, top = _reciprocal(series, "unweighted")
+    *_, sse_single, scale = _line_sse(t, z, w)
+    sse_segmented = sum(_line_sse(t[m], z[m], w[m])[3] for m in (before, ~before))
     n = len(series)
-    scale = float(np.sum((z - z.mean()) ** 2))
     if scale <= 0.0 or sse_single <= 1e-20 * scale:
         f_stat, p_value = 0.0, 1.0
     elif sse_segmented == 0.0:
@@ -245,16 +242,20 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
     else:
         f_stat = max(0.0, (sse_single - sse_segmented) / 2.0 / (sse_segmented / (n - 4)))
         p_value = f_survival(f_stat, float(n - 4))
-    decision = (
-        BreakDecision.BREAK_DETECTED if p_value < alpha else BreakDecision.NO_BREAK
-    )
+    try:  # the sums in the values' own units are the scaled sums times 2**(-2*top)
+        sse_single, sse_segmented = (math.ldexp(s, -2 * top) for s in (sse_single, sse_segmented))
+    except OverflowError:
+        raise UnrepresentableError(
+            f"series {series.name!r}: residual sums of squares of 1/y overflow float64 "
+            f"for values down to {series.values.min():g}"
+        ) from None
     return BreakTestResult(
         break_year=float(break_year),
         sse_single=sse_single,
         sse_segmented=sse_segmented,
         f_statistic=f_stat,
         p_value=p_value,
-        decision=decision,
+        decision=BreakDecision.BREAK_DETECTED if p_value < alpha else BreakDecision.NO_BREAK,
         alpha=alpha,
     )
 

@@ -35,5 +35,9 @@ class FitRejectedError(DataError):
     """Regression produced parameters outside the growth-model family."""
 
 
+class UnrepresentableError(DataError):
+    """A statistic of the data overflows float64 in the data's own units."""
+
+
 class InsufficientDataError(DataError):
     """Too few observations for the requested operation."""

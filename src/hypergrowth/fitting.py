@@ -4,9 +4,9 @@ A hyperbolic growth trajectory is uniquely identified by its reciprocal
 values, which fall on the straight line a - k*t. Fitting therefore reduces
 to a line fit of 1/y against t: the intercept estimates a, the negated
 slope estimates k, and the singularity time follows as a/k. Data whose
-reciprocal regression does not produce a finite positive intercept and a
-finite negative slope are not hyperbolic-growth-shaped and are rejected
-rather than forced.
+reciprocal regression does not produce a positive intercept, a negative
+slope and a ratio a/k that are all finite are not hyperbolic-growth-shaped
+and are rejected rather than forced.
 
 Two weighting modes are supported. ``unweighted`` is ordinary least squares
 in reciprocal space; ``size_squared`` weights each squared reciprocal
@@ -68,24 +68,39 @@ class RatioFit:
     residuals: np.ndarray
 
 
-def _weighted_line(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Weighted least-squares line z ~ intercept + slope*t.
+def _reciprocal(series: TimeSeries, weighting: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reciprocals z = 1/y' and weights of the values scaled exactly to y' = y / 2**top.
 
-    Centered normal equations; well conditioned for year-scale abscissas.
+    max(y') is in [0.5, 1), so y'**2 and squared residuals neither overflow nor underflow,
+    and the sums of n squared reciprocals stay finite while n / min(y')**2 does.
+    """
+    top = int(np.frexp(series.values.max())[1])
+    y = np.ldexp(series.values, -top)
+    if y.min() < np.sqrt(len(series) / np.finfo(float).max):
+        raise FitRejectedError(
+            f"series {series.name!r}: values from {series.values.min():g} to "
+            f"{series.values.max():g} span too wide a range for their squared "
+            f"reciprocals to fit in float64"
+        )
+    return 1.0 / y, (y**2 if weighting == "size_squared" else np.ones_like(y)), top
+
+
+def _line_sse(t: np.ndarray, z: np.ndarray, w: np.ndarray):
+    """Weighted least-squares line z ~ intercept + slope*t, with its residuals, SSE and SST.
+
+    The normal equations are centred on the weighted mean of the years scaled by 2**-s
+    into (-1, 1), so no year sum, offset or square overflows; the scaling is exact, so
+    the mean and slope are bitwise those of the plain years wherever those stay in range.
     """
     sw = w.sum()
-    tbar = (w * t).sum() / sw
+    s = int(np.frexp(np.abs(t).max())[1])
+    tbar = (w * np.ldexp(t, -s)).sum() / sw
     zbar = (w * z).sum() / sw
-    dt = t - tbar
-    slope = (w * dt * (z - zbar)).sum() / (w * dt * dt).sum()
-    return zbar - slope * tbar, slope
-
-
-def _line_sse(t: np.ndarray, z: np.ndarray) -> float:
-    """Sum of squared residuals of the unweighted line fit z ~ t."""
-    intercept, slope = _weighted_line(t, z, np.ones_like(t))
+    dt = np.ldexp(t, -s) - tbar
+    slope = np.ldexp((w * dt * (z - zbar)).sum() / (w * dt * dt).sum(), -s)
+    intercept = zbar - slope * np.ldexp(tbar, s)
     r = z - (intercept + slope * t)
-    return float(r @ r)
+    return intercept, slope, r, float((w * r**2).sum()), float((w * (z - zbar) ** 2).sum())
 
 
 def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> HyperbolicFit:
@@ -96,42 +111,20 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
         raise InsufficientDataError(
             f"series {series.name!r}: need at least 3 points to fit, got {len(series)}"
         )
-    t = series.years
-    # Fit y' = y / 2**top, max(y') in [0.5, 1), so y'**2 and squared residuals neither
-    # overflow nor underflow; the scaling is exact, so normal-range fits are bitwise unchanged.
-    # The sums of n squared reciprocals stay finite while n / min(y')**2 does.
-    top = int(np.frexp(series.values.max())[1])
-    y = np.ldexp(series.values, -top)
-    if y.min() < np.sqrt(len(series) / np.finfo(float).max):
-        raise FitRejectedError(
-            f"series {series.name!r}: values from {series.values.min():g} to "
-            f"{series.values.max():g} span too wide a range for their squared "
-            f"reciprocals to fit in float64"
-        )
-    z = 1.0 / y
-    w = y**2 if weighting == "size_squared" else np.ones_like(z)
-
-    intercept, slope = _weighted_line(t, z, w)
+    z, w, top = _reciprocal(series, weighting)
+    intercept, slope, residuals, sse, sst = _line_sse(series.years, z, w)
     with np.errstate(over="ignore"):  # an overflowing estimate is rejected below
         a_hat, k_hat = np.ldexp([intercept, -slope], -top).tolist()
-    if not (np.isfinite(a_hat) and np.isfinite(k_hat) and a_hat > 0 and k_hat > 0):
+    if not (a_hat > 0 and k_hat > 0 and np.isfinite([a_hat, k_hat, a_hat / k_hat]).all()):
         raise FitRejectedError(
             f"series {series.name!r}: reciprocal regression gave a={a_hat:.6g}, "
             f"k={k_hat:.6g}; data is not hyperbolic-growth-shaped"
         )
-    params = HyperbolicParams(a=a_hat, k=k_hat)
-
-    residuals = z - (intercept + slope * t)
-    sse = float((w * residuals**2).sum())
-    zbar = float((w * z).sum() / w.sum())
-    sst = float((w * (z - zbar) ** 2).sum())
-    r_squared = 1.0 - sse / sst if sst > 0 else 1.0
-    rmse = float(np.sqrt(sse / w.sum()))
     return HyperbolicFit(
-        params=params,
+        params=HyperbolicParams(a=a_hat, k=k_hat),
         residuals=np.ldexp(residuals, -top),
-        rmse_reciprocal=float(np.ldexp(rmse, -top)),
-        r_squared_reciprocal=r_squared,
+        rmse_reciprocal=float(np.ldexp(np.sqrt(sse / w.sum()), -top)),
+        r_squared_reciprocal=1.0 - sse / sst if sst > 0 else 1.0,
         n_points=len(series),
         weighting=weighting,
     )

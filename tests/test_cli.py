@@ -137,6 +137,18 @@ class TestFit:
             assert all(np.isfinite(fit[key]) for key in ("a", "k", "t_s", "r_squared_reciprocal"))
             assert 0.0 < fit["rmse_reciprocal"] < 1e-197
 
+    @pytest.mark.filterwarnings("error")
+    def test_years_spanning_float_range_fit(self, tmp_path, capsys):
+        # Year offsets of 1e300 from their mean would overflow their squares unscaled.
+        data = tmp_path / "span.csv"
+        data.write_text("year,value\n-1e300,1\n0,2\n1e300,3\n")
+        code, out = run_cli(capsys, "fit", str(data), "--out-dir", str(tmp_path))
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        fit = json.loads(out)["fit"]
+        assert fit["a"] == pytest.approx(11 / 18, rel=1e-12)
+        assert fit["k"] == pytest.approx(1e-300 / 3, rel=1e-12)
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, out = run_cli(capsys, "fit", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path))
         assert code == 2
@@ -323,6 +335,38 @@ class TestDiagnose:
         scans = {s["candidate_year"]: s for s in report["break_tests"]["control"]}
         assert scans[1750.0]["result"]["decision"] == "break_detected"
         assert scans[1870.0]["result"]["decision"] == "no_break"
+
+    @pytest.mark.parametrize("unit", [1e-160, 1e300])
+    def test_break_tests_do_not_depend_on_units(self, tmp_path, capsys, unit):
+        # Criterion 6's first null series: F and p must not move with the units, except
+        # that residual sums of squares too large for float64 become error entries.
+        years = np.linspace(1500.0, 1950.0, 31)
+        clean = 1.0 / (F_PARAMS.a - F_PARAMS.k * years)
+        values = clean * np.exp(np.random.default_rng(20260810).normal(0.0, 0.005, years.size))
+        scans = {}
+        for name, scale in (("plain", 1.0), ("scaled", unit)):
+            rows = "".join(f"{float(t)!r},{float(v)!r}\n" for t, v in zip(years, values * scale))
+            (tmp_path / f"{name}.csv").write_text("year,value\n" + rows)
+            argv = ["diagnose", "--f-a", "4.5", "--f-k", "2.2e-3", "--g-a", "7.0", "--g-k",
+                    "3.35e-3", "--series", str(tmp_path / f"{name}.csv"), "--out-dir",
+                    str(tmp_path / name)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0
+            assert captured.err == ""
+            scans[name] = json.loads(captured.out)["break_tests"][name]
+        assert [e["candidate_year"] for e in scans["scaled"]] == [1750.0, 1870.0]
+        for plain, scaled in zip(scans["plain"], scans["scaled"]):
+            if unit == 1e-160:
+                assert scaled["result"] is None
+                assert scaled["error"].startswith("series 'scaled': residual sums of squares")
+            else:
+                assert scaled["error"] is None
+                for key in ("f_statistic", "p_value"):
+                    assert scaled["result"][key] == pytest.approx(plain["result"][key], rel=1e-12)
+                assert scaled["result"]["decision"] == plain["result"]["decision"]
 
     def test_usage_error_without_inputs(self, tmp_path, capsys):
         code = main(["diagnose", "--out-dir", str(tmp_path)])
@@ -686,12 +730,15 @@ FAILURES = [
     ("insufficient_data", ["fit", "{two_points}"], 2, "InsufficientDataError"),
     ("fit_rejected", ["fit", "{falling}"], 2, "FitRejectedError"),
     ("fit_span", ["fit", "{wide}"], 2, "FitRejectedError"),
+    ("singularity_overflow", ["fit", "{far}"], 2, "FitRejectedError"),
     ("synth_domain", [*SYNTH_F, "--to", "2100"], 3, "DomainError"),
     ("unattainable_level", ["diagnose", *F_G_PARAMS, "--levels", "1.0"], 3, "NoSolutionError"),
     ("empty_grid", ["fit", "{f}", "--grid-from", "2000", "--grid-to", "1000"], 2, "ValidationError"),
     ("grid_span_overflow", ["diagnose", *F_G_PARAMS, "--grid-from=-1.7e308", "--grid-to=1.7e308"],
      2, "ValidationError"),
     ("gradient_underflow", ["diagnose", *F_G_PARAMS, "--grid-from=-1e200"], 2, "ValidationError"),
+    ("reciprocal_overflow", ["diagnose", "--f-a", "4.5", "--f-k", "10", "--g-a", "7", "--g-k",
+                             "3.35e-3", "--grid-from=-1.7e308", "--candidates"], 2, "ValidationError"),
     ("out_dir_is_a_file", ["fit", "{f}", "--out-dir", "{f}"], 2, "FileExistsError"),
 ]
 
@@ -721,11 +768,14 @@ class TestEveryFailurePath:
             "two_points": tmp_path / "two.csv",
             "falling": tmp_path / "falling.csv",
             "wide": tmp_path / "wide.csv",
+            "far": tmp_path / "far.csv",
         }
         files["bad"].write_text("year,value\n1,1\n2,oops\n")
         files["two_points"].write_text("year,value\n1,1\n2,2\n")
         files["falling"].write_text("year,value\n0,10\n1,6\n2,3\n3,1\n")
         files["wide"].write_text("year,value\n0,1e-200\n1,1e-100\n2,1\n3,1e100\n4,1e200\n")
+        # a and k fit (k is 25/26 * 1e-308), but t_s = a/k overflows float64
+        files["far"].write_text("year,value\n1e308,1\n1.5e308,2\n1.7e308,3\n")
         return {name: str(path) for name, path in files.items()}
 
     def run_strict(self, capsys, argv, inputs):

@@ -1,7 +1,11 @@
+import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from hypergrowth import (
@@ -12,6 +16,7 @@ from hypergrowth import (
     Monotonicity,
     NoSolutionError,
     TimeSeries,
+    UnrepresentableError,
     ValidationError,
     break_test,
     curves_vs_size,
@@ -210,6 +215,36 @@ class TestBreakTest:
         # 3 strictly before, 3 strictly after; the 1750 point itself rides along
         result = break_test(series, 1750.0)
         assert result.decision is BreakDecision.NO_BREAK
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(-1000, 1000),
+        break_year=st.sampled_from([1600.0, 1750.0, 1870.0]),
+    )
+    def test_power_of_two_units_leave_f_and_p_unchanged(self, seed, j, break_year):
+        # Criterion 6's null series in units of 2**-j: F, p and the decision are bitwise
+        # those of the plain series, and the residual sums are scaled by exactly 2**(-2j),
+        # or, where such a sum overflows float64, the test refuses the series.
+        years = np.linspace(1500.0, 1950.0, 31)
+        clean = 1.0 / (F_PARAMS.a - F_PARAMS.k * years)
+        values = clean * np.exp(np.random.default_rng(seed).normal(0.0, 0.005, years.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = break_test(TimeSeries(years=years, values=values), break_year)
+            scaled_series = TimeSeries(years=years, values=np.ldexp(values, j), name="scaled")
+            try:
+                expected = [math.ldexp(s, -2 * j) for s in (base.sse_single, base.sse_segmented)]
+            except OverflowError:
+                with pytest.raises(UnrepresentableError, match="^series 'scaled': "):
+                    break_test(scaled_series, break_year)
+                return
+            scaled = break_test(scaled_series, break_year)
+        assert [scaled.sse_single, scaled.sse_segmented] == expected
+        assert scaled.f_statistic == base.f_statistic
+        assert scaled.p_value == base.p_value
+        assert scaled.decision is base.decision
 
 
 class TestFSurvival:

@@ -20,7 +20,7 @@ from hypergrowth import (
     predict,
     synthesize,
 )
-from hypergrowth.fitting import WEIGHTINGS
+from hypergrowth.fitting import WEIGHTINGS, _line_sse
 
 from conftest import F_PARAMS, G_PARAMS, random_params
 
@@ -168,6 +168,40 @@ class TestFitHyperbolic:
             fit = fit_hyperbolic(TimeSeries(years=grid, values=values))
             hits += abs(fit.t_s - t_s_true) / t_s_true <= 0.02
         assert hits / trials >= 0.95
+
+
+class TestLineKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        decades=st.integers(0, 307),
+        shift=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+        weighted=st.booleans(),
+    )
+    def test_matches_lstsq_oracle(self, n, decades, shift, seed, weighted):
+        # Years spread over +-10**decades around shift * 10**decades, up to 1.1e308 in size.
+        rng = np.random.default_rng(seed)
+        u = np.sort(rng.uniform(-1.0, 1.0, n))
+        u[0], u[-1] = -1.0, 1.0
+        t = 10.0**decades * (shift + u)
+        assume(np.all(np.diff(t) > 0))
+        z = rng.uniform(1.0, 10.0) + rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 10.0) * u
+        z += rng.normal(0.0, rng.uniform(1e-3, 1.0), n)
+        w = rng.uniform(0.1, 10.0, n) if weighted else np.ones(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            intercept, slope, residuals, sse, _ = _line_sse(t, z, w)
+        # Oracle: least squares on sqrt(w)-scaled rows. The year column is scaled by an
+        # exact power of two, or lstsq's rank cutoff drops the intercept column.
+        e = int(np.frexp(np.abs(t).max())[1])
+        design = np.sqrt(w)[:, None] * np.column_stack([np.ones(n), np.ldexp(t, -e)])
+        rhs = np.sqrt(w) * z
+        coef = np.linalg.lstsq(design, rhs, rcond=None)[0]
+        assert intercept == pytest.approx(coef[0], rel=1e-10, abs=0.0)
+        assert slope == pytest.approx(np.ldexp(coef[1], -e), rel=1e-10, abs=0.0)
+        assert sse == pytest.approx(float(((rhs - design @ coef) ** 2).sum()), rel=1e-10, abs=0.0)
+        assert sse == float((w * residuals**2).sum())
 
 
 class TestFitRatio:

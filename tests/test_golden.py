@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import shutil
@@ -105,11 +106,22 @@ def run_edge_cases() -> dict[str, bytes]:
     return _tree(out)
 
 
+def _first_difference(actual: bytes, expected: bytes) -> str:
+    """The first line at which two differing outputs part, both sides quoted."""
+    pairs = itertools.zip_longest(actual.splitlines(True), expected.splitlines(True), fillvalue=b"")
+    number, got, want = next((i, g, w) for i, (g, w) in enumerate(pairs, start=1) if g != w)
+    return f"line {number}: expected {want!r}, got {got!r}"
+
+
 def _assert_matches(actual: dict[str, bytes], golden_dir: Path) -> None:
     expected = _tree(golden_dir)
     assert sorted(actual) == sorted(expected)
-    differing = [name for name in expected if actual[name] != expected[name]]
-    assert not differing, f"outputs differ from {golden_dir}: {differing}"
+    differing = [
+        f"{name}: {_first_difference(actual[name], expected[name])}"
+        for name in expected
+        if actual[name] != expected[name]
+    ]
+    assert not differing, f"outputs differ from {golden_dir}:\n" + "\n".join(differing)
 
 
 def test_cli_outputs_match_golden(tmp_path, monkeypatch):
