@@ -74,11 +74,12 @@ def _model_guard_time(m: RatioModel) -> float:
 def _resolve_grid(args, default_start: float, default_end: float) -> np.ndarray:
     start = args.grid_from if args.grid_from is not None else default_start
     end = args.grid_to if args.grid_to is not None else default_end
-    if end <= start:
-        raise ValidationError(f"empty grid: grid end {end:g} not after start {start:g}")
     if not math.isfinite(end - start):
         raise ValidationError(f"grid span from {start:g} to {end:g} overflows float64")
-    return np.linspace(start, end, args.grid_points)
+    grid = np.linspace(start, end, args.grid_points)
+    if not (grid[1:] > grid[:-1]).all():  # an empty span, or one too narrow for its points
+        raise ValidationError(f"{grid.size} grid points from {start:g} to {end:g} do not increase")
+    return grid
 
 
 def _fit_summary(fit: HyperbolicFit) -> dict:
@@ -123,9 +124,6 @@ def _json_table(table: dict):
 
     Yields the text in pieces of at most _CHUNK_ROWS cells, so a writer holds one at a time.
     """
-    if not table:
-        yield "{}\n"
-        return
     sep = "{\n"
     for key in sorted(table):
         yield f"{sep}  {json.dumps(key)}: "
@@ -148,10 +146,14 @@ def _write_json(path: Path, parts) -> None:
         fh.writelines(parts)
 
 
-def _emit_error(exc: Exception, exit_code: int) -> int:
-    error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
-    print(json.dumps({"error": error}, indent=2, sort_keys=True))
-    return exit_code
+def _print(text: str) -> None:
+    """Write ``text`` and a newline to stdout as file-system bytes: the CLI's one stdout writer."""
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(os.fsencode(text) + b"\n")
+        sys.stdout.buffer.flush()  # a closed pipe raises here, where main handles it
+    else:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text + "\n")
 
 
 def _load_series(path: str, args) -> TimeSeries:
@@ -177,18 +179,11 @@ def _fit_pair(args, numerator_path: str, denominator_path: str):
     return rfit, pair, fits, min(float(series.years[0]) for series in pair)
 
 
-def _write_series(series: TimeSeries, args, out: Path, default_name: str) -> None:
-    """Write a series CSV to ``--out`` (default: ``default_name`` in ``out``); print its path.
-
-    The path is printed as its own bytes, which need not be text in stdout's encoding.
-    """
+def _write_series(series: TimeSeries, args, out: Path, default_name: str) -> str:
+    """Write a series CSV to ``--out`` (default: ``default_name`` in ``out``); return its path."""
     dest = Path(args.out) if args.out else out / default_name
     write_csv(series, dest, year_col=args.year_col, value_col=args.value_col)
-    if not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
-        print(dest)
-        return
-    sys.stdout.flush()
-    sys.stdout.buffer.write(os.fsencode(dest) + b"\n")
+    return str(dest)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +213,7 @@ def cmd_fit(args, out: Path) -> dict:
 def cmd_ratio(args, out: Path) -> dict:
     rfit, _, fits, start = _fit_pair(args, args.numerator, args.denominator)
     model = rfit.model
+    grid = _resolve_grid(args, start, _model_guard_time(model))
     observed_file = _write_table(
         out,
         "ratio_observed_vs_model",
@@ -225,7 +221,6 @@ def cmd_ratio(args, out: Path) -> dict:
         [rfit.common_years, rfit.observed_ratio, rfit.predicted_ratio, rfit.residuals],
         args.format,
     )
-    grid = _resolve_grid(args, start, _model_guard_time(model))
     curve_file = _write_table(
         out, "ratio_curve", ["year", "value"], [grid, eval_ratio(model, grid)], args.format
     )
@@ -303,7 +298,7 @@ def cmd_diagnose(args, out: Path) -> dict:
     }
 
 
-def cmd_synth(args, out: Path) -> None:
+def cmd_synth(args, out: Path) -> str:
     params = HyperbolicParams(args.a, args.k)
     if args.step <= 0:
         raise ValidationError(f"step must be positive, got {args.step:g}")
@@ -316,10 +311,10 @@ def cmd_synth(args, out: Path) -> None:
     series = synthesize(
         params, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic"
     )
-    _write_series(series, args, out, "synthetic.csv")
+    return _write_series(series, args, out, "synthetic.csv")
 
 
-def cmd_downsample(args, out: Path) -> None:
+def cmd_downsample(args, out: Path) -> str:
     series = parse_csv(args.input, year_col=args.year_col, value_col=args.value_col)
     wanted = np.asarray(args.years, dtype=float)
     missing = sorted(set(wanted.tolist()) - set(series.years.tolist()))
@@ -330,7 +325,7 @@ def cmd_downsample(args, out: Path) -> None:
         )
     mask = np.isin(series.years, wanted)
     subset = TimeSeries(years=series.years[mask], values=series.values[mask], name=series.name)
-    _write_series(subset, args, out, "downsampled.csv")
+    return _write_series(subset, args, out, "downsampled.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +348,7 @@ _GRID_POINTS = _checked(int, lambda n: 2 <= n <= MAX_GRID_POINTS, f"in [2, {MAX_
 _ALPHA = _checked(float, lambda a: 0 < a < 1, "in (0, 1)")
 _FINITE = _checked(float, math.isfinite, "finite")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "non-negative and finite")
 _SEED = _checked(int, lambda n: n >= 0, "non-negative")
 
 
@@ -387,7 +383,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--window",
         nargs=2,
-        type=float,
+        type=_FINITE,
         metavar=("LO", "HI"),
         default=None,
         help="restrict the fit to years in [LO, HI]",
@@ -430,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--candidates",
         nargs="*",
-        type=float,
+        type=_FINITE,
         default=None,
         help="candidate break years (default: 1750 1870; pass no values to skip)",
     )
@@ -453,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=_FINITE, required=True, help="first year")
     p.add_argument("--to", dest="stop", type=_FINITE, required=True, help="last year")
     p.add_argument("--step", type=_FINITE, default=1.0, help="year spacing")
-    p.add_argument("--noise", type=_FINITE, default=0.0, help="multiplicative noise sigma")
+    p.add_argument("--noise", type=_NON_NEGATIVE, default=0.0, help="multiplicative noise sigma")
     p.add_argument("--seed", type=_SEED, default=0, help="noise RNG seed")
     p.add_argument("--out", default=None, help="output CSV path")
     _add_common(p)
@@ -462,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("downsample", help="subset a series to selected years")
     p.add_argument("input", help="input CSV file")
     p.add_argument(
-        "--years", nargs="+", type=float, required=True, help="years to keep"
+        "--years", nargs="+", type=_FINITE, required=True, help="years to keep"
     )
     p.add_argument("--out", default=None, help="output CSV path")
     _add_common(p)
@@ -471,50 +467,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_diagnose_args(parser: argparse.ArgumentParser, args) -> None:
-    if args.command != "diagnose":
-        return
-    data_mode = args.gdp is not None or args.pop is not None
-    params_given = [args.f_a, args.f_k, args.g_a, args.g_k]
-    if data_mode:
-        if args.gdp is None or args.pop is None:
-            parser.error("--gdp and --pop must be given together")
-        if any(v is not None for v in params_given):
-            parser.error("give either --gdp/--pop or explicit --f-a/--f-k/--g-a/--g-k")
-    else:
-        if any(v is None for v in params_given):
+def _validate_args(parser: argparse.ArgumentParser, args) -> None:
+    models = [("--a/--k", "a", "k")] if args.command == "synth" else []
+    if args.command == "diagnose":
+        params_given = [args.f_a, args.f_k, args.g_a, args.g_k]
+        if args.gdp is not None or args.pop is not None:
+            if args.gdp is None or args.pop is None:
+                parser.error("--gdp and --pop must be given together")
+            if any(v is not None for v in params_given):
+                parser.error("give either --gdp/--pop or explicit --f-a/--f-k/--g-a/--g-k")
+        elif any(v is None for v in params_given):
             parser.error("need --gdp/--pop or all of --f-a, --f-k, --g-a, --g-k")
+        else:
+            models = [("--f-a/--f-k", "f_a", "f_k"), ("--g-a/--g-k", "g_a", "g_k")]
+    for flags, a, k in models:
+        try:
+            HyperbolicParams(getattr(args, a), getattr(args, k))
+        except ValueError as exc:
+            parser.error(f"{flags}: {exc}")
 
 
 def main(argv=None) -> int:
     """Run one subcommand in its ``--out-dir``; returns the exit code.
 
-    ``fit``, ``ratio`` and ``diagnose`` return their report sections, which
-    go out as ``<command>_report.json`` and on stdout inside the envelope of
-    ``schema_version``, ``command`` and the resolved ``config``.
+    ``fit``, ``ratio`` and ``diagnose`` return report sections, written to
+    ``<command>_report.json`` and stdout in one envelope (``schema_version``,
+    ``command``, resolved ``config``). A closed stdout exits 2, files kept.
     """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate_diagnose_args(parser, args)
+        _validate_args(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        sections = args.func(args, out)
-        if sections is not None:
+        code, text = EXIT_OK, args.func(args, out)  # report sections, or the path written
+        if isinstance(text, dict):
             config = {key: value for key, value in vars(args).items() if key != "func"}
             report = {"schema_version": SCHEMA_VERSION, "command": args.command,
-                      "config": config, **sections}
+                      "config": config, **text}
             text = json.dumps(report, indent=2, sort_keys=True)
             _write_json(out / f"{args.command}_report.json", (text, "\n"))
-            print(text)
-    except (DataError, OSError) as exc:
-        return _emit_error(exc, EXIT_DATA)
-    except DomainError as exc:
-        return _emit_error(exc, EXIT_DOMAIN)
-    return EXIT_OK
+    except (DataError, DomainError, OSError) as exc:
+        code = EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_DATA
+        error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+        text = json.dumps({"error": error}, indent=2, sort_keys=True)
+    try:
+        _print(text)
+    except BrokenPipeError:  # stdout's reader is gone; the files written stay
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return EXIT_DATA
+    return code
 
 
 if __name__ == "__main__":

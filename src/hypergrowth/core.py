@@ -29,18 +29,18 @@ class HyperbolicParams:
     """Parameters of a hyperbolic growth trajectory 1/(a - k*t).
 
     ``a`` is the reciprocal-line intercept (units 1/value), ``k`` the
-    reciprocal-line slope magnitude (units 1/(value*year)). Both must be
-    positive, which makes the singularity time a/k finite and positive.
+    reciprocal-line slope magnitude (units 1/(value*year)). The package's one
+    valid-model rule: a, k and the singularity time a/k are finite and
+    positive, or ValueError is raised. Fits and CLI flags are checked by it.
     """
 
     a: float
     k: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.k)):
-            raise ValueError(f"parameters must be finite, got a={self.a}, k={self.k}")
-        if self.a <= 0 or self.k <= 0:
-            raise ValueError(f"parameters must be positive, got a={self.a}, k={self.k}")
+        a, k = float(self.a), float(self.k)  # Python floats: a/k overflows to inf, never warns
+        if not (0 < a < np.inf and 0 < k < np.inf and a / k < np.inf):
+            raise ValueError(f"need finite positive a, k and a/k, got a={self.a}, k={self.k}")
 
     @property
     def singularity_time(self) -> float:
@@ -57,19 +57,19 @@ def reciprocal_value(p: HyperbolicParams, t):
         return p.a - p.k * np.asarray(t, dtype=float)
 
 
-def past_guard(p: HyperbolicParams, t):
-    """Mask of times at or past the singularity guard.
+def past_guard(p: HyperbolicParams, line):
+    """Mask of reciprocal-line values ``line = reciprocal_value(p, t)`` past the guard.
 
     True where a - k*t < SINGULARITY_GUARD*a, i.e. where the trajectory is
-    not evaluated. NaN times are never flagged, so they propagate as NaN.
+    not evaluated. NaN is never flagged, so it propagates as NaN.
     """
-    return reciprocal_value(p, t) < SINGULARITY_GUARD * p.a
+    return line < SINGULARITY_GUARD * p.a
 
 
 def last_guarded_time(p: HyperbolicParams) -> float:
-    """Latest representable time still inside the singularity guard."""
+    """First float inside the guard from t_s*(1 - SINGULARITY_GUARD) down; not always the last."""
     end = p.singularity_time * (1.0 - SINGULARITY_GUARD)
-    while past_guard(p, end):
+    while past_guard(p, reciprocal_value(p, end)):
         end = float(np.nextafter(end, -np.inf))
     return end
 
@@ -79,12 +79,13 @@ def eval_hyperbolic(p: HyperbolicParams, t):
 
     Raises DomainError at or past the singularity guard.
     """
-    if np.any(past_guard(p, t)):
+    line = reciprocal_value(p, t)
+    if np.any(past_guard(p, line)):
         raise DomainError(
             f"time at or beyond the singularity guard "
             f"(singularity at t_s={p.singularity_time:.6g})"
         )
-    return 1.0 / reciprocal_value(p, t)
+    return 1.0 / line
 
 
 def singularity_time(p: HyperbolicParams) -> float:

@@ -158,30 +158,23 @@ def curves_vs_size(m: RatioModel, levels) -> tuple[DiagnosticsCurve, Diagnostics
 def monotonicity_check(curve: DiagnosticsCurve) -> MonotonicityResult:
     """Strict monotonicity verdict with the earliest violating index.
 
-    An adjacent step only counts as increasing (decreasing) if it exceeds
-    the float-noise tolerance relative to the values compared. When neither
-    direction holds throughout, the reported index is the right-hand point
-    of the first adjacent pair that breaks the direction set by the first
-    step; a tie on the first step violates immediately.
+    The first step sets the direction. Every step must move that way by more
+    than the float-noise tolerance relative to the values compared; the index
+    reported is the right-hand point of the first step that does not, 1 when
+    the first step is a tie.
     """
     if len(curve) < 2:
         raise InsufficientDataError("monotonicity check needs at least 2 samples")
     values = curve.values
     diffs = np.diff(values)
     tol = MONOTONICITY_TOLERANCE * np.maximum(np.abs(values[1:]), np.abs(values[:-1]))
-    increasing = diffs > tol
-    decreasing = diffs < -tol
-    if increasing.all():
-        return MonotonicityResult(Monotonicity.INCREASING)
-    if decreasing.all():
-        return MonotonicityResult(Monotonicity.DECREASING)
-    if increasing[0]:
-        first_bad = int(np.argmin(increasing))
-    elif decreasing[0]:
-        first_bad = int(np.argmin(decreasing))
-    else:
-        first_bad = 0
-    return MonotonicityResult(Monotonicity.NON_MONOTONE, first_violation=first_bad + 1)
+    direction = np.sign(diffs[0])
+    strict = direction * diffs > tol
+    if strict.all():
+        return MonotonicityResult(
+            Monotonicity.INCREASING if direction > 0 else Monotonicity.DECREASING
+        )
+    return MonotonicityResult(Monotonicity.NON_MONOTONE, first_violation=int(np.argmin(strict)) + 1)
 
 
 def series_growth_rate(series: TimeSeries) -> DiagnosticsCurve:
@@ -218,7 +211,8 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
     two independently fitted lines split at the break year (observations at
     it join the second segment), with 2 and n-4 degrees of freedom; scaling
     the values by a power of two leaves F and p unchanged. Noiseless data
-    that a single line explains exactly carries no evidence of a break:
+    that a single line explains exactly, to 1e-20 of the reciprocals' sum of
+    squares (a constant series among them), carries no evidence of a break:
     the statistic is defined as 0 and the p-value as 1.
     """
     if not 0 < alpha < 1:
@@ -232,10 +226,10 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
             f"of {break_year:g}, got {int(before.sum())} before and {int(after.sum())} after"
         )
     z, w, top = _reciprocal(series, "unweighted")
-    *_, sse_single, scale = _line_sse(t, z, w)
+    sse_single = _line_sse(t, z, w)[3]
     sse_segmented = sum(_line_sse(t[m], z[m], w[m])[3] for m in (before, ~before))
     n = len(series)
-    if scale <= 0.0 or sse_single <= 1e-20 * scale:
+    if sse_single <= 1e-20 * float((w * z * z).sum()):  # z >= 1, so the sum is positive
         f_stat, p_value = 0.0, 1.0
     elif sse_segmented == 0.0:
         f_stat, p_value = float("inf"), 0.0

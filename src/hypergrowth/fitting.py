@@ -4,9 +4,9 @@ A hyperbolic growth trajectory is uniquely identified by its reciprocal
 values, which fall on the straight line a - k*t. Fitting therefore reduces
 to a line fit of 1/y against t: the intercept estimates a, the negated
 slope estimates k, and the singularity time follows as a/k. Data whose
-reciprocal regression does not produce a positive intercept, a negative
-slope and a ratio a/k that are all finite are not hyperbolic-growth-shaped
-and are rejected rather than forced.
+reciprocal regression does not give a valid ``HyperbolicParams`` (a finite
+positive intercept, a finite negative slope and a finite a/k) are not
+hyperbolic-growth-shaped and are rejected rather than forced.
 
 Two weighting modes are supported. ``unweighted`` is ordinary least squares
 in reciprocal space; ``size_squared`` weights each squared reciprocal
@@ -115,13 +115,15 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
     intercept, slope, residuals, sse, sst = _line_sse(series.years, z, w)
     with np.errstate(over="ignore"):  # an overflowing estimate is rejected below
         a_hat, k_hat = np.ldexp([intercept, -slope], -top).tolist()
-    if not (a_hat > 0 and k_hat > 0 and np.isfinite([a_hat, k_hat, a_hat / k_hat]).all()):
+    try:
+        params = HyperbolicParams(a=a_hat, k=k_hat)
+    except ValueError:
         raise FitRejectedError(
             f"series {series.name!r}: reciprocal regression gave a={a_hat:.6g}, "
             f"k={k_hat:.6g}; data is not hyperbolic-growth-shaped"
-        )
+        ) from None
     return HyperbolicFit(
-        params=HyperbolicParams(a=a_hat, k=k_hat),
+        params=params,
         residuals=np.ldexp(residuals, -top),
         rmse_reciprocal=float(np.ldexp(np.sqrt(sse / w.sum()), -top)),
         r_squared_reciprocal=1.0 - sse / sst if sst > 0 else 1.0,

@@ -37,37 +37,23 @@ def parse_csv(
     violate series invariants; both name the offending line.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if name is None:
-            name = path.stem
+        data = Path(source).read_bytes()
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
         try:
-            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-                return _parse_stream(fh, year_col, value_col, name)
-        except UnicodeDecodeError as exc:
-            data = path.read_bytes()  # exc.start counts from the decoder's chunk
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-            line = data.count(b"\n", 0, exc.start) + 1
+            header, body = _read(fh)
+        except UnicodeDecodeError as exc:  # exc.object: the undecoded bytes up to the read position
+            start = fh.buffer.tell() - len(exc.object) + exc.start
+            line = data.count(b"\n", 0, start) + 1
             raise ParseError(f"line {line}: not UTF-8 text: {exc.reason}") from None
-    return _parse_stream(source, year_col, value_col, name or "")
-
-
-def _parse_stream(fh, year_col, value_col, name) -> TimeSeries:
-    try:
-        header = next(csv.reader(fh))
-    except StopIteration:
-        raise ParseError("empty input: missing header row") from None
-    except csv.Error as exc:
-        raise ParseError(f"line 1: {exc}") from None
-    header = [h.strip() for h in header]
+        del data, fh  # each byte was read and decoded once; the text alone is parsed
+        name = Path(source).stem if name is None else name
+    else:
+        header, body = _read(source)
     for col in (year_col, value_col):
         if col not in header:
             raise ParseError(f"line 1: missing column {col!r} in header {header}")
     iy, iv = header.index(year_col), header.index(value_col)
 
-    body = fh.read()
     # CRLF rows without lone CRs or quotes (which may hold CRLF) read in bulk.
     if "\r" in body and '"' not in body and body.count("\r") == body.count("\r\n"):
         body = body.replace("\r\n", "\n")
@@ -84,7 +70,18 @@ def _parse_stream(fh, year_col, value_col, name) -> TimeSeries:
     fault = _first_fault(years, values)
     if fault is not None:
         raise ValidationError(f"line {lines[order[fault[0]]]}: {fault[1]}")
-    return TimeSeries(years=years, values=values, name=name)
+    return TimeSeries(years=years, values=values, name=name or "")
+
+
+def _read(fh) -> tuple[list[str], str]:
+    """The stripped cells of a text stream's header row and the text after that row."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise ParseError("empty input: missing header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"line 1: {exc}") from None
+    return [h.strip() for h in header], fh.read()
 
 
 # Characters on which numpy's reader and the row loop disagree: quotes and CR

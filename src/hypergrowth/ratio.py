@@ -74,17 +74,18 @@ def past_domain(m: RatioModel, t):
 
     The binding constraint is the earlier of the two singularities.
     """
-    return past_guard(m.f, t) | past_guard(m.g, t)
+    return past_guard(m.f, reciprocal_value(m.f, t)) | past_guard(m.g, reciprocal_value(m.g, t))
 
 
 def _guarded_lines(m: RatioModel, t):
     """Both reciprocal lines at t, raising DomainError past the model domain."""
-    if np.any(past_domain(m, t)):
+    lin_f, lin_g = reciprocal_value(m.f, t), reciprocal_value(m.g, t)
+    if np.any(past_guard(m.f, lin_f) | past_guard(m.g, lin_g)):
         raise DomainError(
             f"time at or beyond the ratio domain "
             f"(earliest singularity at t_s={m.domain_end:.6g})"
         )
-    return reciprocal_value(m.f, t), reciprocal_value(m.g, t)
+    return lin_f, lin_g
 
 
 def eval_ratio(m: RatioModel, t, pathway: str = "direct"):

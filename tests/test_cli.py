@@ -683,7 +683,7 @@ class TestExtremeFlagValues:
         "extreme, monotone",
         [(["--grid-from=-1e16"], True), (["--grid-from=-1e20"], True),
          (["--grid-from=-1e156"], False), (["--grid-from=-1e200"], False),
-         (["--grid-from=-1.7e308"], False), (["--f-a", "1e308", "--f-k", "1e-308"], False)],
+         (["--grid-from=-1.7e308"], False), (["--f-a", "1e308", "--f-k", "1"], False)],
         ids=["-1e16", "-1e20", "-1e156", "-1e200", "-1.7e308", "f-a-1e308"],
     )
     def test_far_grid_verdicts_keep_the_sign_of_c(self, tmp_path, capsys, extreme, monotone):
@@ -722,6 +722,8 @@ class TestExtremeFlagValues:
 
 
 SYNTH_F = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "2000", "--step", "100"]
+# Ten points between two neighbouring floats: linspace repeats the years.
+REPEATING_GRID = ["--grid-from", "1000", "--grid-to", "1000.0000000000001", "--grid-points", "10"]
 
 # (case, argv, exit code, error type); {name} is replaced by that input file's path.
 FAILURES = [
@@ -732,8 +734,12 @@ FAILURES = [
     ("fit_span", ["fit", "{wide}"], 2, "FitRejectedError"),
     ("singularity_overflow", ["fit", "{far}"], 2, "FitRejectedError"),
     ("synth_domain", [*SYNTH_F, "--to", "2100"], 3, "DomainError"),
+    ("synth_step_zero", [*SYNTH_F, "--step", "0"], 2, "ValidationError"),
+    ("synth_to_before_from", [*SYNTH_F, "--to", "-100"], 2, "ValidationError"),
     ("unattainable_level", ["diagnose", *F_G_PARAMS, "--levels", "1.0"], 3, "NoSolutionError"),
     ("empty_grid", ["fit", "{f}", "--grid-from", "2000", "--grid-to", "1000"], 2, "ValidationError"),
+    *[(f"grid_repeats_{argv[0]}", [*argv, *REPEATING_GRID], 2, "ValidationError")
+      for argv in (["fit", "{f}"], ["ratio", "{f}", "{g}"], ["diagnose", "--gdp", "{f}", "--pop", "{g}"])],
     ("grid_span_overflow", ["diagnose", *F_G_PARAMS, "--grid-from=-1.7e308", "--grid-to=1.7e308"],
      2, "ValidationError"),
     ("gradient_underflow", ["diagnose", *F_G_PARAMS, "--grid-from=-1e200"], 2, "ValidationError"),
@@ -751,6 +757,12 @@ USAGE_ERRORS = [
     ["diagnose", *F_G_PARAMS, "--levels", "inf"],
     ["fit", "{f}", "--grid-points", "1"],
     [*SYNTH_F, "--a", "nan"],
+    [*SYNTH_F, "--a", "1e300", "--k", "1e-10"],
+    ["diagnose", "--f-a", "1e300", "--f-k", "1e-10", "--g-a", "7", "--g-k", "3.35e-3", "--candidates"],
+    ["diagnose", "--gdp", "{f}", "--pop", "{g}", "--candidates", "nan"],
+    ["fit", "{f}", "--window", "0", "inf"],
+    ["downsample", "{f}", "--years", "nan"],
+    [*SYNTH_F, "--noise", "-1"],
 ]
 
 
@@ -764,6 +776,7 @@ class TestEveryFailurePath:
     def inputs(self, tmp_path):
         files = {
             "f": synth_file(tmp_path, "f.csv", F_PARAMS),
+            "g": synth_file(tmp_path, "g.csv", G_PARAMS),
             "bad": tmp_path / "bad.csv",
             "two_points": tmp_path / "two.csv",
             "falling": tmp_path / "falling.csv",
@@ -788,6 +801,7 @@ class TestEveryFailurePath:
     @pytest.mark.parametrize("argv, exit_code, error_type", [case[1:] for case in FAILURES],
                              ids=[case[0] for case in FAILURES])
     def test_error_json_on_stdout(self, tmp_path, capsys, inputs, argv, exit_code, error_type):
+        refused_grid = argv[-len(REPEATING_GRID):] == REPEATING_GRID
         if "--out-dir" not in argv:
             argv = [*argv, "--out-dir", str(tmp_path / "out")]
         code, captured = self.run_strict(capsys, argv, inputs)
@@ -799,6 +813,8 @@ class TestEveryFailurePath:
         assert sorted(payload["error"]) == ["exit_code", "message", "type"]
         assert payload["error"]["type"] == error_type
         assert payload["error"]["exit_code"] == exit_code
+        if refused_grid:  # refused before any file is written
+            assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv))
     def test_usage_error_writes_nothing(self, tmp_path, capsys, monkeypatch, inputs, argv):
@@ -812,6 +828,13 @@ class TestEveryFailurePath:
         assert list(work.iterdir()) == []
 
 
+def child_env(**extra) -> dict:
+    """The environment of a child ``python -m hypergrowth.cli`` that imports this package."""
+    package_root = str(Path(hypergrowth.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="needs a file system that takes any name bytes")
 @pytest.mark.parametrize("command", ["synth", "downsample"])
 def test_output_path_echoed_as_its_bytes(tmp_path, command):
@@ -822,18 +845,36 @@ def test_output_path_echoed_as_its_bytes(tmp_path, command):
         "synth": ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "100"],
         "downsample": ["downsample", str(source), "--years", "0", "100"],
     }[command]
-    package_root = str(Path(hypergrowth.__file__).parents[1])
-    env = dict(os.environ, PYTHONIOENCODING="utf-8",
-               PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "hypergrowth.cli", *args, "--out", dest, "--out-dir", str(tmp_path)],
-        env=env,
+        env=child_env(PYTHONIOENCODING="utf-8"),
         capture_output=True,
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == b""
     assert result.stdout == dest + b"\n"
     assert os.path.exists(dest)
+
+
+@pytest.mark.parametrize("command", ["fit", "synth"])
+def test_closed_stdout_exits_2_quietly(tmp_path, command):
+    """A stdout pipe whose reader has gone: exit 2, nothing on stderr, the files still written."""
+    source = synth_file(tmp_path, "f.csv", F_PARAMS)
+    out_dir = tmp_path / "out"
+    args = {"fit": ["fit", str(source)], "synth": SYNTH_F}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hypergrowth.cli", *args, "--out-dir", str(out_dir)],
+            env=child_env(), stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == b""
+    written = {"fit": "fit_report.json", "synth": "synthetic.csv"}[command]
+    assert (out_dir / written).stat().st_size > 0
 
 
 @pytest.mark.skipif(shutil.which("hypergrowth") is None, reason="entry point not installed")

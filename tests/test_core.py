@@ -32,6 +32,12 @@ class TestParams:
         with pytest.raises(ValueError):
             HyperbolicParams(a=float("nan"), k=1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "numpy"])
+    def test_rejects_overflowing_singularity_time(self, kind):
+        with pytest.raises(ValueError, match="a/k"):
+            HyperbolicParams(a=kind(1e300), k=kind(1e-10))
+
     def test_singularity_finite_positive(self, f_params):
         assert 0 < f_params.singularity_time < np.inf
 

@@ -139,6 +139,12 @@ class TestMonotonicityCheck:
         assert result.verdict is Monotonicity.NON_MONOTONE
         assert result.first_violation == 3
 
+    def test_fall_then_rise_reports_first_rise(self):
+        curve = DiagnosticsCurve("time", "value", [0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 1.5])
+        result = monotonicity_check(curve)
+        assert result.verdict is Monotonicity.NON_MONOTONE
+        assert result.first_violation == 3
+
     def test_single_sample_rejected(self):
         curve = DiagnosticsCurve("time", "value", [0.0], [1.0])
         with pytest.raises(InsufficientDataError):
@@ -175,6 +181,16 @@ class TestBreakTest:
         assert result.f_statistic == 0.0
         assert result.p_value == 1.0
         assert result.sse_single < 1e-20
+
+    @pytest.mark.parametrize("j", [-300, 0, 600])
+    @pytest.mark.parametrize("value", [2.2e-3, 0.1, 1.0, 3.0, 7.3])
+    def test_constant_series_has_no_break(self, value, j):
+        # Constant reciprocals lie on a flat line; their centred sum of squares is rounding noise.
+        years = np.linspace(1500.0, 1950.0, 31)
+        series = TimeSeries(years=years, values=np.full(years.size, np.ldexp(value, j)))
+        result = break_test(series, 1750.0)
+        assert (result.f_statistic, result.p_value) == (0.0, 1.0)
+        assert result.decision is BreakDecision.NO_BREAK
 
     def test_noisy_null_rarely_flags(self):
         # smoke version of the calibration study: 300 trials at alpha=0.05

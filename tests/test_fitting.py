@@ -144,6 +144,17 @@ class TestFitHyperbolic:
         with pytest.raises(FitRejectedError):
             fit_hyperbolic(flat)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_singularity_time_that_overflows(self):
+        # a and k are finite and positive, but t_s = a/k overflows float64.
+        series = TimeSeries(years=[1e308, 1.5e308, 1.7e308], values=[1.0, 2.0, 3.0], name="far")
+        message = (
+            "series 'far': reciprocal regression gave a=1.95726, k=9.61538e-309; "
+            "data is not hyperbolic-growth-shaped"
+        )
+        with pytest.raises(FitRejectedError, match=f"^{message}$"):
+            fit_hyperbolic(series)
+
     def test_rejects_insufficient_data(self):
         two = TimeSeries(years=[0.0, 1.0], values=[1.0, 2.0])
         with pytest.raises(InsufficientDataError):
