@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import HyperbolicParams, last_guarded_time
 from .diagnostics import (
+    ABSCISSA_NAMES,
     DEFAULT_BREAK_CANDIDATES,
     INDUSTRIAL_REVOLUTION_WINDOW,
     DiagnosticsCurve,
@@ -67,13 +68,10 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _model_guard_time(m: RatioModel) -> float:
-    return min(last_guarded_time(m.f), last_guarded_time(m.g))
-
-
-def _resolve_grid(args, default_start: float, default_end: float) -> np.ndarray:
+def _resolve_grid(args, default_start: float, *models: HyperbolicParams) -> np.ndarray:
+    """The curve grid; it ends by default inside the guard of the earliest singularity."""
     start = args.grid_from if args.grid_from is not None else default_start
-    end = args.grid_to if args.grid_to is not None else default_end
+    end = args.grid_to if args.grid_to is not None else min(map(last_guarded_time, models))
     if not math.isfinite(end - start):
         raise ValidationError(f"grid span from {start:g} to {end:g} overflows float64")
     grid = np.linspace(start, end, args.grid_points)
@@ -115,7 +113,7 @@ def _write_table(out_dir: Path, stem: str, header: list[str], columns, fmt: str)
 
 
 def _write_curve(out_dir: Path, stem: str, curve: DiagnosticsCurve, fmt: str) -> str:
-    x_name = "year" if curve.abscissa_kind == "time" else "ratio_size"
+    x_name = ABSCISSA_NAMES[curve.abscissa_kind]
     return _write_table(out_dir, stem, [x_name, curve.quantity], [curve.x, curve.values], fmt)
 
 
@@ -158,9 +156,8 @@ def _print(text: str) -> None:
 
 def _load_series(path: str, args) -> TimeSeries:
     series = parse_csv(path, year_col=args.year_col, value_col=args.value_col)
-    if getattr(args, "window", None):
-        lo, hi = args.window
-        series = series.restrict(lo, hi)
+    if args.window:
+        series = series.restrict(*args.window)
     return series
 
 
@@ -194,7 +191,7 @@ def _write_series(series: TimeSeries, args, out: Path, default_name: str) -> str
 def cmd_fit(args, out: Path) -> dict:
     series = _load_series(args.input, args)
     fit = fit_hyperbolic(series, weighting=args.weighting)
-    grid = _resolve_grid(args, float(series.years[0]), last_guarded_time(fit.params))
+    grid = _resolve_grid(args, float(series.years[0]), fit.params)
     curve = predict(fit, grid, name=f"{series.name} fitted")
     curve_file = _write_table(
         out, "fitted_curve", ["year", "value"], [curve.years, curve.values], args.format
@@ -213,7 +210,7 @@ def cmd_fit(args, out: Path) -> dict:
 def cmd_ratio(args, out: Path) -> dict:
     rfit, _, fits, start = _fit_pair(args, args.numerator, args.denominator)
     model = rfit.model
-    grid = _resolve_grid(args, start, _model_guard_time(model))
+    grid = _resolve_grid(args, start, model.f, model.g)
     observed_file = _write_table(
         out,
         "ratio_observed_vs_model",
@@ -221,9 +218,8 @@ def cmd_ratio(args, out: Path) -> dict:
         [rfit.common_years, rfit.observed_ratio, rfit.predicted_ratio, rfit.residuals],
         args.format,
     )
-    curve_file = _write_table(
-        out, "ratio_curve", ["year", "value"], [grid, eval_ratio(model, grid)], args.format
-    )
+    curve = DiagnosticsCurve("time", "value", grid, eval_ratio(model, grid))
+    curve_file = _write_curve(out, "ratio_curve", curve, args.format)
     residuals = rfit.residuals
     return {
         "fits": fits,
@@ -249,7 +245,7 @@ def cmd_diagnose(args, out: Path) -> dict:
     if args.series is not None:
         break_targets.append(_load_series(args.series, args))
 
-    grid = _resolve_grid(args, default_start, _model_guard_time(model))
+    grid = _resolve_grid(args, default_start, model.f, model.g)
     grad = gradient_curve(model, grid)
     rate = growth_rate_curve(model, grid)
     artifacts = {
@@ -300,30 +296,23 @@ def cmd_diagnose(args, out: Path) -> dict:
 
 def cmd_synth(args, out: Path) -> str:
     params = HyperbolicParams(args.a, args.k)
-    if args.step <= 0:
-        raise ValidationError(f"step must be positive, got {args.step:g}")
-    if args.stop < args.start:
-        raise ValidationError(f"grid end {args.stop:g} before start {args.start:g}")
     n = np.floor((args.stop - args.start) / args.step + 1e-9) + 1
     if not n <= MAX_GRID_POINTS:
         raise ValidationError(f"grid of {n:g} points exceeds {MAX_GRID_POINTS:g}")
     grid = args.start + args.step * np.arange(int(n))
-    series = synthesize(
-        params, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic"
-    )
+    series = synthesize(params, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic")
     return _write_series(series, args, out, "synthetic.csv")
 
 
 def cmd_downsample(args, out: Path) -> str:
     series = parse_csv(args.input, year_col=args.year_col, value_col=args.value_col)
-    wanted = np.asarray(args.years, dtype=float)
-    missing = sorted(set(wanted.tolist()) - set(series.years.tolist()))
+    missing = sorted(set(args.years) - set(series.years.tolist()))
     if missing:
         raise ValidationError(
             f"requested years not present in {series.name!r}: "
             + ", ".join(f"{y:g}" for y in missing)
         )
-    mask = np.isin(series.years, wanted)
+    mask = np.isin(series.years, args.years)
     subset = TimeSeries(years=series.years[mask], values=series.values[mask], name=series.name)
     return _write_series(subset, args, out, "downsampled.csv")
 
@@ -448,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_POSITIVE, required=True, help="reciprocal-line slope")
     p.add_argument("--from", dest="start", type=_FINITE, required=True, help="first year")
     p.add_argument("--to", dest="stop", type=_FINITE, required=True, help="last year")
-    p.add_argument("--step", type=_FINITE, default=1.0, help="year spacing")
+    p.add_argument("--step", type=_POSITIVE, default=1.0, help="year spacing")
     p.add_argument("--noise", type=_NON_NEGATIVE, default=0.0, help="multiplicative noise sigma")
     p.add_argument("--seed", type=_SEED, default=0, help="noise RNG seed")
     p.add_argument("--out", default=None, help="output CSV path")
@@ -480,9 +469,15 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
             parser.error("need --gdp/--pop or all of --f-a, --f-k, --g-a, --g-k")
         else:
             models = [("--f-a/--f-k", "f_a", "f_k"), ("--g-a/--g-k", "g_a", "g_k")]
+    if args.command == "synth" and args.stop < args.start:
+        parser.error(f"--to {args.stop:g} is before --from {args.start:g}")
+    params = []
     for flags, a, k in models:
         try:
-            HyperbolicParams(getattr(args, a), getattr(args, k))
+            params.append(HyperbolicParams(getattr(args, a), getattr(args, k)))
+            if len(params) == 2:  # the diagnose pair: its ratio model must be valid too
+                flags = "--f-a/--f-k/--g-a/--g-k"
+                make_ratio(*params)
         except ValueError as exc:
             parser.error(f"{flags}: {exc}")
 

@@ -85,7 +85,8 @@ def eval_hyperbolic(p: HyperbolicParams, t):
             f"time at or beyond the singularity guard "
             f"(singularity at t_s={p.singularity_time:.6g})"
         )
-    return 1.0 / line
+    with np.errstate(over="ignore"):  # inf beside a tiny line: the series check refuses it
+        return 1.0 / line
 
 
 def singularity_time(p: HyperbolicParams) -> float:

@@ -22,9 +22,10 @@ import numpy as np
 from .errors import HypergrowthError, InsufficientDataError, UnrepresentableError, ValidationError
 from .fitting import _line_sse, _reciprocal
 from .ratio import RatioModel, ratio_gradient, ratio_growth_rate, time_at_ratio
-from .series import TimeSeries, _frozen_array
+from .series import TimeSeries, _first_fault, _frozen_array
 
-ABSCISSA_KINDS = ("time", "ratio_size")
+#: Each abscissa kind and its name in curve headers and messages.
+ABSCISSA_NAMES = {"time": "year", "ratio_size": "ratio_size"}
 QUANTITIES = ("gradient", "growth_rate", "value")
 
 #: Candidate regime-boundary years commonly claimed in the growth literature.
@@ -53,7 +54,7 @@ class BreakDecision(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DiagnosticsCurve:
-    """A sampled (abscissa, value) curve for plot emission."""
+    """A sampled curve for plot emission, checked as a series is but with values of any sign."""
 
     abscissa_kind: str
     quantity: str
@@ -61,20 +62,18 @@ class DiagnosticsCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.abscissa_kind not in ABSCISSA_KINDS:
-            raise ValueError(f"abscissa_kind must be one of {ABSCISSA_KINDS}")
+        if self.abscissa_kind not in ABSCISSA_NAMES:
+            raise ValueError(f"abscissa_kind must be one of {tuple(ABSCISSA_NAMES)}")
         if self.quantity not in QUANTITIES:
             raise ValueError(f"quantity must be one of {QUANTITIES}")
-        x = _frozen_array(self.x)
-        values = _frozen_array(self.values)
+        x, values = _frozen_array(self.x), _frozen_array(self.values)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
         if x.shape != values.shape:
             raise ValidationError("curve abscissa and values differ in length")
-        if x.size > 1 and np.any(np.diff(x) <= 0):
-            raise ValidationError("curve abscissa must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("curve values must be finite")
+        fault = _first_fault(x, values, ABSCISSA_NAMES[self.abscissa_kind], positive=False)
+        if fault is not None:
+            raise ValidationError(f"ratio {self.quantity} curve: {fault[1]}")
 
     def __len__(self) -> int:
         return self.x.size
@@ -115,7 +114,6 @@ def _time_curve(m: RatioModel, quantity: str, evaluate, grid) -> DiagnosticsCurv
     a value below the smallest normal float has lost digits to underflow, and
     a curve of such values can contradict the sign of C.
     """
-    grid = np.asarray(grid, dtype=float)
     curve = DiagnosticsCurve("time", quantity, grid, evaluate(m, grid))
     small = np.abs(curve.values) < np.finfo(float).tiny
     if m.modulation_constant != 0.0 and small.any():
@@ -141,17 +139,13 @@ def curves_vs_size(m: RatioModel, levels) -> tuple[DiagnosticsCurve, Diagnostics
     """Gradient and growth-rate curves parametrized by ratio size.
 
     Each level is mapped to its crossing time, where both quantities are
-    sampled; output is sorted by level. Unattainable levels raise.
+    sampled; output is sorted by level. Unattainable or repeated levels raise.
     """
     levels = np.sort(np.asarray(levels, dtype=float))
-    if levels.size > 1 and np.any(np.diff(levels) == 0):
-        raise ValidationError("levels must be distinct")
     times = np.array([time_at_ratio(m, level) for level in levels])
-    grad = np.atleast_1d(np.asarray(ratio_gradient(m, times), dtype=float))
-    rate = np.atleast_1d(np.asarray(ratio_growth_rate(m, times), dtype=float))
     return (
-        DiagnosticsCurve("ratio_size", "gradient", levels, grad),
-        DiagnosticsCurve("ratio_size", "growth_rate", levels, rate),
+        DiagnosticsCurve("ratio_size", "gradient", levels, ratio_gradient(m, times)),
+        DiagnosticsCurve("ratio_size", "growth_rate", levels, ratio_growth_rate(m, times)),
     )
 
 
@@ -265,10 +259,9 @@ def takeoff_scan(
     yields an entry with an error message instead of aborting the scan.
     """
     entries: list[TakeoffScanEntry] = []
-    for year in candidate_years:
+    for year in map(float, candidate_years):
         try:
-            result = break_test(series, float(year), alpha=alpha)
-            entries.append(TakeoffScanEntry(candidate_year=float(year), result=result))
+            entries.append(TakeoffScanEntry(year, result=break_test(series, year, alpha=alpha)))
         except HypergrowthError as exc:
-            entries.append(TakeoffScanEntry(candidate_year=float(year), error=str(exc)))
+            entries.append(TakeoffScanEntry(year, error=str(exc)))
     return entries

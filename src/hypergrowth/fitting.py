@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import HyperbolicParams, eval_hyperbolic
 from .core import reciprocal_value  # noqa: F401  (bench/tracing.py wraps this attribute)
-from .errors import FitRejectedError, InsufficientDataError
+from .errors import FitRejectedError, InsufficientDataError, UnrepresentableError
 from .ratio import RatioModel, eval_ratio, make_ratio, past_domain
 from .series import TimeSeries
 
@@ -139,11 +139,16 @@ def fit_ratio(
 
     Also reports observed-vs-model ratio residuals on the common years;
     common years at or past the fitted model's domain end are left out of
-    the residual report since the model has no value there.
+    the residual report since the model has no value there. A pair that
+    ``RatioModel`` refuses raises UnrepresentableError.
     """
     num_fit = fit_hyperbolic(numerator, weighting)
     den_fit = fit_hyperbolic(denominator, weighting)
-    model = make_ratio(num_fit.params, den_fit.params)
+    try:
+        model = make_ratio(num_fit.params, den_fit.params)
+    except ValueError as exc:
+        names = f"{numerator.name!r} and {denominator.name!r}"
+        raise UnrepresentableError(f"series {names}: {exc}") from None
 
     common, num_idx, den_idx = np.intersect1d(
         numerator.years, denominator.years, return_indices=True
@@ -156,9 +161,8 @@ def fit_ratio(
     observed = numerator.values[num_idx] / denominator.values[den_idx]
 
     in_domain = ~past_domain(model, common)
-    common = common[in_domain]
-    observed = observed[in_domain]
-    predicted = np.atleast_1d(np.asarray(eval_ratio(model, common), dtype=float))
+    common, observed = common[in_domain], observed[in_domain]
+    predicted = eval_ratio(model, common)
     return RatioFit(
         model=model,
         numerator_fit=num_fit,
@@ -172,6 +176,4 @@ def fit_ratio(
 
 def predict(fit: HyperbolicFit, grid, name: str = "fitted") -> TimeSeries:
     """Evaluate the fitted trajectory on a year grid."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.atleast_1d(np.asarray(eval_hyperbolic(fit.params, grid), dtype=float))
-    return TimeSeries(years=grid, values=values, name=name)
+    return TimeSeries(years=grid, values=eval_hyperbolic(fit.params, grid), name=name)

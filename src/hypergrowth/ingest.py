@@ -343,11 +343,9 @@ def synthesize(
     """
     if noise_sigma < 0:
         raise ValidationError(f"noise_sigma must be non-negative, got {noise_sigma}")
-    grid = np.asarray(grid, dtype=float)
-    with np.errstate(over="ignore"):  # the guard or the series rejects the inf or 0
-        values = eval_hyperbolic(params, grid)
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if noise_sigma > 0:
-            rng = np.random.default_rng(seed)
+    values = eval_hyperbolic(params, grid)
+    if noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore"):  # the series rejects the inf or 0
             values = values * np.exp(rng.normal(0.0, noise_sigma, size=values.shape))
     return TimeSeries(years=grid, values=values, name=name)

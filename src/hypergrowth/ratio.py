@@ -47,11 +47,18 @@ class RatioModel:
 
     ``f`` is the numerator (e.g. GDP), ``g`` the denominator (e.g.
     population). The modulation constant C is always derived from the
-    parameters, never stored separately.
+    parameters, never stored separately. Both terms of C must be finite
+    normal floats, or ValueError is raised: no overflow or underflow decides
+    C's sign.
     """
 
     f: HyperbolicParams
     g: HyperbolicParams
+
+    def __post_init__(self):  # Python floats: the products overflow or underflow, never warn
+        terms = float(self.f.k) * float(self.g.a), float(self.g.k) * float(self.f.a)
+        if not all(np.finfo(float).tiny <= term < np.inf for term in terms):
+            raise ValueError("need normal floats k_f*a_g and k_g*a_f, got %g and %g" % terms)
 
     @property
     def modulation_constant(self) -> float:
@@ -99,11 +106,12 @@ def eval_ratio(m: RatioModel, t, pathway: str = "direct"):
     if pathway not in PATHWAYS:
         raise ValueError(f"unknown pathway {pathway!r}; expected one of {PATHWAYS}")
     lin_f, lin_g = _guarded_lines(m, t)
-    if pathway == "direct":
-        return (1.0 / lin_f) / (1.0 / lin_g)
-    if pathway == "hyperbolic_times_linear":
-        return (1.0 / lin_f) * lin_g
-    return lin_g / lin_f
+    with np.errstate(over="ignore"):  # +-inf beside a tiny line: curve checks refuse it
+        if pathway == "direct":
+            return (1.0 / lin_f) / (1.0 / lin_g)
+        if pathway == "hyperbolic_times_linear":
+            return (1.0 / lin_f) * lin_g
+        return lin_g / lin_f
 
 
 def ratio_gradient(m: RatioModel, t):
@@ -114,7 +122,8 @@ def ratio_gradient(m: RatioModel, t):
     its square, cannot overflow far from the singularities.
     """
     lin_f, _ = _guarded_lines(m, t)
-    return m.modulation_constant / lin_f / lin_f
+    with np.errstate(over="ignore"):  # +-inf beside a tiny line: curve checks refuse it
+        return m.modulation_constant / lin_f / lin_f
 
 
 def ratio_growth_rate(m: RatioModel, t):
@@ -125,7 +134,8 @@ def ratio_growth_rate(m: RatioModel, t):
     C > 0; satisfies R' = R * d(ln R)/dt.
     """
     lin_f, lin_g = _guarded_lines(m, t)
-    return m.modulation_constant / lin_f / lin_g
+    with np.errstate(over="ignore"):  # +-inf beside a tiny line: curve checks refuse it
+        return m.modulation_constant / lin_f / lin_g
 
 
 def time_at_ratio(m: RatioModel, level: float) -> float:

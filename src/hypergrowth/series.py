@@ -20,27 +20,30 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
-def _first_fault(years: np.ndarray, values: np.ndarray) -> tuple[int, str] | None:
-    """Index and message of the first row that breaks a series invariant.
+def _first_fault(
+    years: np.ndarray, values: np.ndarray, x_name: str = "year", positive: bool = True
+) -> tuple[int, str] | None:
+    """Index and message of the first row that breaks a series or curve invariant.
 
-    Checks run in a fixed order: finite years, strictly increasing years,
-    then finite positive values; within each, the first offending row wins.
+    Checks run in a fixed order: finite abscissas (``x_name``, years by
+    default), strictly increasing abscissas, then finite values, positive
+    too if ``positive``; within each, the first offending row wins.
     Neighbours are compared rather than subtracted, so no check can overflow.
     """
     bad = ~np.isfinite(years)
     if bad.any():
         i = int(bad.argmax())
-        return i, f"non-finite year {years[i]:g}"
+        return i, f"non-finite {x_name} {years[i]:g}"
     bad = years[1:] <= years[:-1]
     if bad.any():
         i = int(bad.argmax()) + 1
         word = "duplicate" if years[i] == years[i - 1] else "decreasing"
-        return i, f"{word} year {years[i]:g}"
-    bad = ~np.isfinite(values) | (values <= 0)
+        return i, f"{word} {x_name} {years[i]:g}"
+    bad = ~np.isfinite(values) | ((values <= 0) & positive)
     if bad.any():
         i = int(bad.argmax())
         word = "non-positive" if np.isfinite(values[i]) else "non-finite"
-        return i, f"{word} value {values[i]:g} at year {years[i]:g}"
+        return i, f"{word} value {values[i]:g} at {x_name} {years[i]:g}"
     return None
 
 
@@ -72,11 +75,7 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.years.size
 
-    def restrict(self, lo: float | None = None, hi: float | None = None) -> "TimeSeries":
-        """Sub-series with years in [lo, hi] (either bound may be open)."""
-        mask = np.ones(len(self), dtype=bool)
-        if lo is not None:
-            mask &= self.years >= lo
-        if hi is not None:
-            mask &= self.years <= hi
+    def restrict(self, lo: float, hi: float) -> "TimeSeries":
+        """Sub-series with years in the closed window [lo, hi]; it may be empty."""
+        mask = (self.years >= lo) & (self.years <= hi)
         return TimeSeries(years=self.years[mask], values=self.values[mask], name=self.name)

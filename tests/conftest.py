@@ -1,5 +1,17 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
+
+# Hypothesis imports this module to print a failing example as a patch. Its
+# first import can warn (libcst pulls in a deprecated mypy_extensions name),
+# which a test marked filterwarnings("error") turns into an INTERNALERROR that
+# hides the failure and ends the session. Import it once here instead; the
+# third-party deprecation is ignored for this import only.
+with contextlib.suppress(ImportError), warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from hypergrowth import HyperbolicParams, make_ratio
 

@@ -734,8 +734,6 @@ FAILURES = [
     ("fit_span", ["fit", "{wide}"], 2, "FitRejectedError"),
     ("singularity_overflow", ["fit", "{far}"], 2, "FitRejectedError"),
     ("synth_domain", [*SYNTH_F, "--to", "2100"], 3, "DomainError"),
-    ("synth_step_zero", [*SYNTH_F, "--step", "0"], 2, "ValidationError"),
-    ("synth_to_before_from", [*SYNTH_F, "--to", "-100"], 2, "ValidationError"),
     ("unattainable_level", ["diagnose", *F_G_PARAMS, "--levels", "1.0"], 3, "NoSolutionError"),
     ("empty_grid", ["fit", "{f}", "--grid-from", "2000", "--grid-to", "1000"], 2, "ValidationError"),
     *[(f"grid_repeats_{argv[0]}", [*argv, *REPEATING_GRID], 2, "ValidationError")
@@ -746,6 +744,18 @@ FAILURES = [
     ("reciprocal_overflow", ["diagnose", "--f-a", "4.5", "--f-k", "10", "--g-a", "7", "--g-k",
                              "3.35e-3", "--grid-from=-1.7e308", "--candidates"], 2, "ValidationError"),
     ("out_dir_is_a_file", ["fit", "{f}", "--out-dir", "{f}"], 2, "FileExistsError"),
+    # C = k_f*a_g - k_g*a_f overflows, or underflows, in the values' units.
+    ("ratio_terms_overflow", ["ratio", "{tiny_f}", "{tiny_g}"], 2, "UnrepresentableError"),
+    ("ratio_terms_underflow", ["ratio", "{huge_f}", "{huge_g}"], 2, "UnrepresentableError"),
+    ("diagnose_terms_underflow", ["diagnose", "--gdp", "{huge_f}", "--pop", "{huge_g}"],
+     2, "UnrepresentableError"),
+    # 1/line overflows inside the singularity guard; the curve check refuses the inf.
+    ("fitted_curve_overflow", ["fit", "{huge_f}"], 2, "ValidationError"),
+    ("gradient_overflow", ["diagnose", "--f-a", "1e-300", "--f-k", "1e-303", "--g-a", "1e10",
+                           "--g-k", "5e6", "--candidates"], 2, "ValidationError"),
+    # -1e308 spelled as an integer, so argparse reads it as a number, not a flag.
+    ("levels_span_float64", ["diagnose", *F_G_PARAMS, "--levels", "-1" + "0" * 308, "1e308"],
+     3, "NoSolutionError"),
 ]
 
 USAGE_ERRORS = [
@@ -763,6 +773,9 @@ USAGE_ERRORS = [
     ["fit", "{f}", "--window", "0", "inf"],
     ["downsample", "{f}", "--years", "nan"],
     [*SYNTH_F, "--noise", "-1"],
+    [*SYNTH_F, "--step", "0"],
+    [*SYNTH_F, "--to", "-100"],
+    ["diagnose", "--f-a", "1e200", "--f-k", "1e200", "--g-a", "1e200", "--g-k", "1", "--candidates"],
 ]
 
 
@@ -782,6 +795,10 @@ class TestEveryFailurePath:
             "falling": tmp_path / "falling.csv",
             "wide": tmp_path / "wide.csv",
             "far": tmp_path / "far.csv",
+            "tiny_f": tmp_path / "tiny_f.csv",
+            "tiny_g": tmp_path / "tiny_g.csv",
+            "huge_f": tmp_path / "huge_f.csv",
+            "huge_g": tmp_path / "huge_g.csv",
         }
         files["bad"].write_text("year,value\n1,1\n2,oops\n")
         files["two_points"].write_text("year,value\n1,1\n2,2\n")
@@ -789,6 +806,13 @@ class TestEveryFailurePath:
         files["wide"].write_text("year,value\n0,1e-200\n1,1e-100\n2,1\n3,1e100\n4,1e200\n")
         # a and k fit (k is 25/26 * 1e-308), but t_s = a/k overflows float64
         files["far"].write_text("year,value\n1e308,1\n1.5e308,2\n1.7e308,3\n")
+        for name, rows in {
+            "tiny_f": [(t, repr(1e-200 / (1 - t))) for t in (0, 0.1, 0.2, 0.3, 0.4)],
+            "tiny_g": [(t, repr(1e-200 / (1 - 0.1 * t))) for t in (0, 0.1, 0.2, 0.3, 0.4)],
+            "huge_f": [(i, "%.6g" % (1e300 * (1 + 0.1 * i))) for i in range(5)],
+            "huge_g": [(i, "%.6g" % (1e300 * (1 + 0.05 * i))) for i in range(5)],
+        }.items():
+            files[name].write_text("year,value\n" + "".join(f"{t},{v}\n" for t, v in rows))
         return {name: str(path) for name, path in files.items()}
 
     def run_strict(self, capsys, argv, inputs):

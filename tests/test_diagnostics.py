@@ -76,6 +76,38 @@ class TestCurves:
             gradient_curve(escalating_model, [1900.0, 1000.0])
 
 
+class TestDiagnosticsCurve:
+    @pytest.mark.parametrize("kind, quantity", [("space", "gradient"), ("time", "level")])
+    def test_unknown_kind_or_quantity(self, kind, quantity):
+        with pytest.raises(ValueError, match="must be one of"):
+            DiagnosticsCurve(kind, quantity, [0.0, 1.0], [1.0, 2.0])
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValidationError, match="differ in length"):
+            DiagnosticsCurve("time", "value", [0.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_names_quantity_and_year(self, value):
+        with pytest.raises(ValidationError) as info:
+            DiagnosticsCurve("time", "gradient", [0.0, 1.0, 2.0], [1.0, value, value])
+        assert str(info.value) == f"ratio gradient curve: non-finite value {value:g} at year 1"
+
+    @pytest.mark.parametrize("x, message", [
+        ([1.0, 2.0, 2.0, 1.0], "duplicate ratio_size 2"),
+        ([1.0, 3.0, 2.0, 2.0], "decreasing ratio_size 2"),
+    ])
+    def test_first_repeated_or_decreasing_abscissa_is_named(self, x, message):
+        with pytest.raises(ValidationError) as info:
+            DiagnosticsCurve("ratio_size", "growth_rate", x, [1.0, 2.0, 3.0, 4.0])
+        assert str(info.value) == f"ratio growth_rate curve: {message}"
+
+    def test_abscissa_spanning_float64_compares_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = DiagnosticsCurve("ratio_size", "gradient", [-1e308, 1e308], [1.0, 2.0])
+        assert len(curve) == 2
+
+
 class TestCurvesVsSize:
     def test_level_two_maps_through_crossing_time(self, escalating_model):
         grad_curve, rate_curve = curves_vs_size(escalating_model, [2.0])
@@ -111,7 +143,7 @@ class TestCurvesVsSize:
             curves_vs_size(escalating_model, [2.0, 1.0])
 
     def test_duplicate_levels_rejected(self, escalating_model):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="duplicate ratio_size 2$"):
             curves_vs_size(escalating_model, [2.0, 2.0])
 
 
@@ -219,6 +251,20 @@ class TestBreakTest:
             result = break_test(TimeSeries(years=years, values=values), 1750.0)
             assert result.sse_segmented <= result.sse_single * (1 + 1e-12)
             assert 0.0 <= result.p_value <= 1.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, np.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        series = synthesize(F_PARAMS, np.linspace(1500.0, 1950.0, 31))
+        with pytest.raises(ValueError, match="alpha must be in"):
+            break_test(series, 1750.0, alpha=alpha)
+
+    def test_two_exact_segments_give_infinite_f(self):
+        # 1/y is 1, 2, 3, 4 then 6, 8, 10, 12: each side an exact line, the whole not one.
+        series = TimeSeries(years=np.arange(8.0), values=1.0 / np.array([1, 2, 3, 4, 6, 8, 10, 12]))
+        result = break_test(series, 3.5)
+        assert result.sse_segmented == 0.0 < result.sse_single
+        assert (result.f_statistic, result.p_value) == (math.inf, 0.0)
+        assert result.decision is BreakDecision.BREAK_DETECTED
 
     def test_insufficient_segments(self):
         series = synthesize(F_PARAMS, np.linspace(1800.0, 1950.0, 12))

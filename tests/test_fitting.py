@@ -13,6 +13,7 @@ from hypergrowth import (
     InsufficientDataError,
     Shape,
     TimeSeries,
+    UnrepresentableError,
     classify_shape,
     fit_hyperbolic,
     fit_ratio,
@@ -234,6 +235,15 @@ class TestFitRatio:
         b = noiseless(G_PARAMS, np.array([200.0, 300.0, 400.0, 500.0]))
         with pytest.raises(InsufficientDataError):
             fit_ratio(a, b)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e300])
+    def test_modulation_terms_outside_float64_refused(self, scale):
+        # 1e-200: k_f*a_g overflows; 1e300: both terms underflow to 0 and C reads as 0.
+        years = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        f = TimeSeries(years=years, values=scale / (1 - 0.1 * years), name="f")
+        g = TimeSeries(years=years, values=scale / (1 - 0.05 * years), name="g")
+        with pytest.raises(UnrepresentableError, match="^series 'f' and 'g': "):
+            fit_ratio(f, g)
 
     def test_propagates_fit_errors(self):
         bad = TimeSeries(years=[0.0, 1.0, 2.0, 3.0], values=[10.0, 6.0, 3.0, 1.0])

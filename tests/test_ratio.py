@@ -54,6 +54,15 @@ class TestMakeRatio:
             m.g.singularity_time - m.f.singularity_time
         )
 
+    @pytest.mark.parametrize("f, g", [
+        ((1e200, 1e200), (1e200, 1.0)),  # k_f*a_g overflows to inf
+        ((1e-300, 1e-301), (1e-300, 2e-301)),  # both terms underflow to 0
+        ((1.0, 1e-160), (1e-160, 1.0)),  # k_f*a_g is subnormal
+    ])
+    def test_terms_of_c_outside_the_normal_range_refused(self, f, g):
+        with pytest.raises(ValueError, match=r"k_f\*a_g and k_g\*a_f"):
+            make_ratio(HyperbolicParams(*f), HyperbolicParams(*g))
+
 
 class TestEvalRatio:
     def test_value_at_origin(self, escalating_model):
