@@ -773,8 +773,6 @@ USAGE_ERRORS = [
     ["fit", "{f}", "--window", "0", "inf"],
     ["downsample", "{f}", "--years", "nan"],
     [*SYNTH_F, "--noise", "-1"],
-    [*SYNTH_F, "--step", "0"],
-    [*SYNTH_F, "--to", "-100"],
     ["diagnose", "--f-a", "1e200", "--f-k", "1e200", "--g-a", "1e200", "--g-k", "1", "--candidates"],
 ]
 
@@ -849,6 +847,23 @@ class TestEveryFailurePath:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("usage:")
+        assert list(work.iterdir()) == []
+
+    # These two exited 2 with a JSON error before --step and --to/--from were parse-time rules.
+    @pytest.mark.parametrize("argv, message", [
+        ([*SYNTH_F, "--step", "0"], "argument --step: must be positive and finite, got 0"),
+        ([*SYNTH_F, "--to", "-100"], "--to -100 is before --from 0"),
+    ], ids=["synth_step_zero", "synth_to_before_from"])
+    def test_synth_grid_rule_is_usage_error(self, tmp_path, capsys, monkeypatch, inputs, argv,
+                                            message):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, captured = self.run_strict(capsys, argv, inputs)
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage:")
+        assert captured.err.endswith(f"error: {message}\n")
         assert list(work.iterdir()) == []
 
 
