@@ -38,7 +38,7 @@ from .diagnostics import (
 )
 from .errors import DataError, DomainError, ValidationError
 from .fitting import WEIGHTINGS, HyperbolicFit, fit_hyperbolic, fit_ratio, predict
-from .ingest import _CHUNK_ROWS, _format_json, parse_csv, synthesize, write_columns, write_csv
+from .ingest import json_table, parse_csv, synthesize, write_columns, write_csv
 from .ratio import RatioModel, classify_shape, eval_ratio, make_ratio
 from .series import TimeSeries
 
@@ -53,6 +53,9 @@ DEFAULT_GRID_POINTS = 512
 # The most float64 elements numpy allows in one array; it refuses larger
 # grids with "Maximum allowed size exceeded".
 MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
+
+#: The series commands and the file each writes in --out-dir when --out is not given.
+SERIES_FILES = {"synth": "synthetic.csv", "downsample": "downsampled.csv"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,35 +111,13 @@ def _write_table(out_dir: Path, stem: str, header: list[str], columns, fmt: str)
     if fmt == "csv":
         write_columns(out_dir / name, header, columns)
     else:
-        _write_json(out_dir / name, _json_table(dict(zip(header, columns))))
+        _write_json(out_dir / name, json_table(dict(zip(header, columns))))
     return name
 
 
-def _write_curve(out_dir: Path, stem: str, curve: DiagnosticsCurve, fmt: str) -> str:
-    x_name = ABSCISSA_NAMES[curve.abscissa_kind]
-    return _write_table(out_dir, stem, [x_name, curve.quantity], [curve.x, curve.values], fmt)
-
-
-def _json_table(table: dict):
-    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline.
-
-    Yields the text in pieces of at most _CHUNK_ROWS cells, so a writer holds one at a time.
-    """
-    sep = "{\n"
-    for key in sorted(table):
-        yield f"{sep}  {json.dumps(key)}: "
-        column = np.asarray(table[key], dtype=float)
-        if column.size:
-            yield "[\n    "
-            for start in range(0, column.size, _CHUNK_ROWS):
-                if start:
-                    yield ",\n    "
-                yield _format_json(column[start : start + _CHUNK_ROWS]).decode()
-            yield "\n  ]"
-        else:
-            yield "[]"
-        sep = ",\n"
-    yield "\n}\n"
+def _curve_table(stem: str, curve: DiagnosticsCurve) -> tuple:
+    """A curve's (stem, header, columns): its abscissa, then its values."""
+    return stem, [ABSCISSA_NAMES[curve.abscissa_kind], curve.quantity], [curve.x, curve.values]
 
 
 def _write_json(path: Path, parts) -> None:
@@ -176,26 +157,16 @@ def _fit_pair(args, numerator_path: str, denominator_path: str):
     return rfit, pair, fits, min(float(series.years[0]) for series in pair)
 
 
-def _write_series(series: TimeSeries, args, out: Path, default_name: str) -> str:
-    """Write a series CSV to ``--out`` (default: ``default_name`` in ``out``); return its path."""
-    dest = Path(args.out) if args.out else out / default_name
-    write_csv(series, dest, year_col=args.year_col, value_col=args.value_col)
-    return str(dest)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(args, out: Path) -> dict:
+def cmd_fit(args) -> tuple[dict, dict]:
     series = _load_series(args.input, args)
     fit = fit_hyperbolic(series, weighting=args.weighting)
     grid = _resolve_grid(args, float(series.years[0]), fit.params)
     curve = predict(fit, grid, name=f"{series.name} fitted")
-    curve_file = _write_table(
-        out, "fitted_curve", ["year", "value"], [curve.years, curve.values], args.format
-    )
     return {
         "series": {
             "name": series.name,
@@ -203,25 +174,16 @@ def cmd_fit(args, out: Path) -> dict:
             "year_range": [float(series.years[0]), float(series.years[-1])],
         },
         "fit": _fit_summary(fit),
-        "artifacts": {"fitted_curve": curve_file},
-    }
+    }, {"fitted_curve": ("fitted_curve", ["year", "value"], [curve.years, curve.values])}
 
 
-def cmd_ratio(args, out: Path) -> dict:
+def cmd_ratio(args) -> tuple[dict, dict]:
     rfit, _, fits, start = _fit_pair(args, args.numerator, args.denominator)
     model = rfit.model
     grid = _resolve_grid(args, start, model.f, model.g)
-    observed_file = _write_table(
-        out,
-        "ratio_observed_vs_model",
-        ["year", "observed", "model", "residual"],
-        [rfit.common_years, rfit.observed_ratio, rfit.predicted_ratio, rfit.residuals],
-        args.format,
-    )
     curve = DiagnosticsCurve("time", "value", grid, eval_ratio(model, grid))
-    curve_file = _write_curve(out, "ratio_curve", curve, args.format)
     residuals = rfit.residuals
-    return {
+    sections = {
         "fits": fits,
         "ratio": _model_summary(model),
         "residuals": {
@@ -229,11 +191,16 @@ def cmd_ratio(args, out: Path) -> dict:
             "rmse": float(np.sqrt(np.mean(residuals**2))) if residuals.size else None,
             "max_abs": float(np.max(np.abs(residuals))) if residuals.size else None,
         },
-        "artifacts": {"observed_vs_model": observed_file, "ratio_curve": curve_file},
+    }
+    header = ["year", "observed", "model", "residual"]
+    columns = [rfit.common_years, rfit.observed_ratio, rfit.predicted_ratio, residuals]
+    return sections, {
+        "observed_vs_model": ("ratio_observed_vs_model", header, columns),
+        "ratio_curve": _curve_table("ratio_curve", curve),
     }
 
 
-def cmd_diagnose(args, out: Path) -> dict:
+def cmd_diagnose(args) -> tuple[dict, dict]:
     if args.gdp is not None:
         rfit, break_targets, fits, default_start = _fit_pair(args, args.gdp, args.pop)
         model = rfit.model
@@ -248,26 +215,17 @@ def cmd_diagnose(args, out: Path) -> dict:
     grid = _resolve_grid(args, default_start, model.f, model.g)
     grad = gradient_curve(model, grid)
     rate = growth_rate_curve(model, grid)
-    artifacts = {
-        "gradient_curve": _write_curve(out, "gradient_curve", grad, args.format),
-        "growth_rate_curve": _write_curve(out, "growth_rate_curve", rate, args.format),
-    }
+    curves = {"gradient_curve": grad, "growth_rate_curve": rate}
     monotonicity = {
         label: dataclasses.asdict(monotonicity_check(curve))
         for label, curve in (("gradient", grad), ("growth_rate", rate))
     }
-
     if args.levels:
         grad_vs, rate_vs = curves_vs_size(model, args.levels)
-        for stem, curve in (("gradient_vs_size", grad_vs), ("growth_rate_vs_size", rate_vs)):
-            artifacts[stem] = _write_curve(out, stem, curve, args.format)
-
+        curves.update(gradient_vs_size=grad_vs, growth_rate_vs_size=rate_vs)
     if rfit is not None:
-        observed = series_growth_rate(
+        curves["observed_growth_rate"] = series_growth_rate(
             TimeSeries(years=rfit.common_years, values=rfit.observed_ratio, name="observed ratio")
-        )
-        artifacts["observed_growth_rate"] = _write_curve(
-            out, "observed_growth_rate", observed, args.format
         )
 
     candidates = (
@@ -280,7 +238,7 @@ def cmd_diagnose(args, out: Path) -> dict:
         ]
         for target in break_targets
     }
-    return {
+    sections = {
         "model": _model_summary(model),
         "fits": fits,
         "monotonicity": monotonicity,
@@ -290,21 +248,20 @@ def cmd_diagnose(args, out: Path) -> dict:
             "break_candidates": [float(c) for c in candidates],
             "alpha": args.alpha,
         },
-        "artifacts": artifacts,
     }
+    return sections, {stem: _curve_table(stem, curve) for stem, curve in curves.items()}
 
 
-def cmd_synth(args, out: Path) -> str:
+def cmd_synth(args) -> TimeSeries:
     params = HyperbolicParams(args.a, args.k)
     n = np.floor((args.stop - args.start) / args.step + 1e-9) + 1
     if not n <= MAX_GRID_POINTS:
         raise ValidationError(f"grid of {n:g} points exceeds {MAX_GRID_POINTS:g}")
     grid = args.start + args.step * np.arange(int(n))
-    series = synthesize(params, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic")
-    return _write_series(series, args, out, "synthetic.csv")
+    return synthesize(params, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic")
 
 
-def cmd_downsample(args, out: Path) -> str:
+def cmd_downsample(args) -> TimeSeries:
     series = parse_csv(args.input, year_col=args.year_col, value_col=args.value_col)
     missing = sorted(set(args.years) - set(series.years.tolist()))
     if missing:
@@ -313,8 +270,7 @@ def cmd_downsample(args, out: Path) -> str:
             + ", ".join(f"{y:g}" for y in missing)
         )
     mask = np.isin(series.years, args.years)
-    subset = TimeSeries(years=series.years[mask], values=series.values[mask], name=series.name)
-    return _write_series(subset, args, out, "downsampled.csv")
+    return TimeSeries(years=series.years[mask], values=series.values[mask], name=series.name)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +318,7 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--grid-points", type=_GRID_POINTS, default=DEFAULT_GRID_POINTS, help="curve grid size"
     )
-    p.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="curve artifact format"
-    )
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="curve artifact format")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -409,9 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-k", type=_POSITIVE, default=None, help="numerator slope")
     p.add_argument("--g-a", type=_POSITIVE, default=None, help="denominator intercept")
     p.add_argument("--g-k", type=_POSITIVE, default=None, help="denominator slope")
-    p.add_argument(
-        "--series", default=None, help="extra CSV to scan for structural breaks"
-    )
+    p.add_argument("--series", default=None, help="extra CSV to scan for structural breaks")
     p.add_argument(
         "--candidates",
         nargs="*",
@@ -446,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("downsample", help="subset a series to selected years")
     p.add_argument("input", help="input CSV file")
-    p.add_argument(
-        "--years", nargs="+", type=_FINITE, required=True, help="years to keep"
-    )
+    p.add_argument("--years", nargs="+", type=_FINITE, required=True, help="years to keep")
     p.add_argument("--out", default=None, help="output CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_downsample)
@@ -485,9 +435,11 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
 def main(argv=None) -> int:
     """Run one subcommand in its ``--out-dir``; returns the exit code.
 
-    ``fit``, ``ratio`` and ``diagnose`` return report sections, written to
-    ``<command>_report.json`` and stdout in one envelope (``schema_version``,
-    ``command``, resolved ``config``). A closed stdout exits 2, files kept.
+    Commands only compute; this is the one place that writes, so a failed
+    command writes nothing: a series to ``--out``, or each table and then the
+    report, in one envelope (``schema_version``, ``command``, resolved
+    ``config``), to ``<command>_report.json`` and stdout. A closed stdout
+    exits 2, files kept.
     """
     parser = build_parser()
     try:
@@ -498,11 +450,16 @@ def main(argv=None) -> int:
     try:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        code, text = EXIT_OK, args.func(args, out)  # report sections, or the path written
-        if isinstance(text, dict):
+        code, result = EXIT_OK, args.func(args)
+        if args.command in SERIES_FILES:
+            text = str(Path(args.out) if args.out else out / SERIES_FILES[args.command])
+            write_csv(result, text, year_col=args.year_col, value_col=args.value_col)
+        else:
+            sections, tables = result
+            artifacts = {key: _write_table(out, *t, args.format) for key, t in tables.items()}
             config = {key: value for key, value in vars(args).items() if key != "func"}
             report = {"schema_version": SCHEMA_VERSION, "command": args.command,
-                      "config": config, **text}
+                      "config": config, **sections, "artifacts": artifacts}
             text = json.dumps(report, indent=2, sort_keys=True)
             _write_json(out / f"{args.command}_report.json", (text, "\n"))
     except (DataError, DomainError, OSError) as exc:

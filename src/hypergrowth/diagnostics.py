@@ -176,15 +176,24 @@ def series_growth_rate(series: TimeSeries) -> DiagnosticsCurve:
 
     ln(y_{i+1}/y_{i-1}) / (t_{i+1} - t_{i-1}), a symmetric estimator that
     tolerates the uneven year spacing of historical tables. Defined on the
-    interior points only.
+    interior points only; a year span or value ratio outside float64's
+    normal range raises UnrepresentableError.
     """
     if len(series) < 3:
         raise InsufficientDataError(
             f"series {series.name!r}: need at least 3 points for a centered growth rate"
         )
-    t = series.years
-    y = series.values
-    rate = np.log(y[2:] / y[:-2]) / (t[2:] - t[:-2])
+    t, y = series.years, series.values
+    with np.errstate(over="ignore", divide="ignore"):  # refused below or by the curve check
+        span, quotient = t[2:] - t[:-2], y[2:] / y[:-2]
+        rate = np.log(quotient) / span
+    bad = ~(np.isfinite(span) & (np.finfo(float).tiny <= quotient) & (quotient < np.inf))
+    if bad.any():
+        i = int(bad.argmax()) + 1
+        raise UnrepresentableError(
+            f"series {series.name!r}: the growth rate at year {t[i]:g} spans years or a "
+            f"value ratio outside float64's normal range"
+        )
     return DiagnosticsCurve("time", "growth_rate", t[1:-1], rate)
 
 
@@ -207,7 +216,9 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
     the values by a power of two leaves F and p unchanged. Noiseless data
     that a single line explains exactly, to 1e-20 of the reciprocals' sum of
     squares (a constant series among them), carries no evidence of a break:
-    the statistic is defined as 0 and the p-value as 1.
+    the statistic is defined as 0 and the p-value as 1. Otherwise, residual
+    sums that overflow, or that are nonzero but below float64's normal range,
+    in the values' own units raise UnrepresentableError.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -223,20 +234,26 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
     sse_single = _line_sse(t, z, w)[3]
     sse_segmented = sum(_line_sse(t[m], z[m], w[m])[3] for m in (before, ~before))
     n = len(series)
-    if sse_single <= 1e-20 * float((w * z * z).sum()):  # z >= 1, so the sum is positive
+    noiseless = sse_single <= 1e-20 * float((w * z * z).sum())  # z >= 1: the sum is positive
+    if noiseless:
         f_stat, p_value = 0.0, 1.0
     elif sse_segmented == 0.0:
         f_stat, p_value = float("inf"), 0.0
     else:
         f_stat = max(0.0, (sse_single - sse_segmented) / 2.0 / (sse_segmented / (n - 4)))
         p_value = f_survival(f_stat, float(n - 4))
+    scaled = (sse_single, sse_segmented)
+    tiny = 0.0 if noiseless else np.finfo(float).tiny  # sums of rounding noise may underflow
     try:  # the sums in the values' own units are the scaled sums times 2**(-2*top)
-        sse_single, sse_segmented = (math.ldexp(s, -2 * top) for s in (sse_single, sse_segmented))
+        sse_single, sse_segmented = (math.ldexp(s, -2 * top) for s in scaled)
+        ok = all(s == 0.0 or math.ldexp(s, -2 * top) >= tiny for s in scaled)
     except OverflowError:
+        ok = False
+    if not ok:
         raise UnrepresentableError(
-            f"series {series.name!r}: residual sums of squares of 1/y overflow float64 "
-            f"for values down to {series.values.min():g}"
-        ) from None
+            f"series {series.name!r}: residual sums of squares of 1/y fall outside float64's "
+            f"normal range for values from {series.values.min():g} to {series.values.max():g}"
+        )
     return BreakTestResult(
         break_year=float(break_year),
         sse_single=sse_single,

@@ -36,7 +36,7 @@ class FitRejectedError(DataError):
 
 
 class UnrepresentableError(DataError):
-    """A statistic of the data overflows float64 in the data's own units."""
+    """A statistic of the data falls outside float64's range in the data's own units."""
 
 
 class InsufficientDataError(DataError):

@@ -140,14 +140,15 @@ def fit_ratio(
     Also reports observed-vs-model ratio residuals on the common years;
     common years at or past the fitted model's domain end are left out of
     the residual report since the model has no value there. A pair that
-    ``RatioModel`` refuses raises UnrepresentableError.
+    ``RatioModel`` refuses, or whose observed or model ratio on those years
+    is not a finite normal float, raises UnrepresentableError.
     """
     num_fit = fit_hyperbolic(numerator, weighting)
     den_fit = fit_hyperbolic(denominator, weighting)
+    names = f"{numerator.name!r} and {denominator.name!r}"
     try:
         model = make_ratio(num_fit.params, den_fit.params)
     except ValueError as exc:
-        names = f"{numerator.name!r} and {denominator.name!r}"
         raise UnrepresentableError(f"series {names}: {exc}") from None
 
     common, num_idx, den_idx = np.intersect1d(
@@ -155,14 +156,23 @@ def fit_ratio(
     )
     if common.size < 3:
         raise InsufficientDataError(
-            f"series {numerator.name!r} and {denominator.name!r} share only "
+            f"series {names} share only "
             f"{common.size} common years; need at least 3 for residual reporting"
         )
-    observed = numerator.values[num_idx] / denominator.values[den_idx]
+    with np.errstate(over="ignore"):  # refused below, as are quotients that underflow
+        observed = numerator.values[num_idx] / denominator.values[den_idx]
 
     in_domain = ~past_domain(model, common)
     common, observed = common[in_domain], observed[in_domain]
     predicted = eval_ratio(model, common)
+    tiny = np.finfo(float).tiny
+    bad = ~((tiny <= observed) & (observed < np.inf) & (tiny <= predicted) & (predicted < np.inf))
+    if bad.any():
+        i = int(bad.argmax())
+        raise UnrepresentableError(
+            f"series {names}: ratio at year {common[i]:g} is outside float64's normal "
+            f"range (observed {observed[i]:g}, model {predicted[i]:g})"
+        )
     return RatioFit(
         model=model,
         numerator_fit=num_fit,

@@ -288,6 +288,21 @@ def _format_json(column) -> bytes:
     return cells[: -_JSON_SEP.size]  # no separator after the last cell
 
 
+def json_table(table: dict):
+    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline.
+
+    Yields the text in pieces of at most _CHUNK_ROWS cells, so a writer holds one at a time.
+    """
+    for i, key in enumerate(sorted(table)):
+        yield ("," if i else "{") + f"\n  {json.dumps(key)}: ["
+        column = np.asarray(table[key], dtype=float)
+        for start in range(0, column.size, _CHUNK_ROWS):
+            yield ",\n    " if start else "\n    "
+            yield _format_json(column[start : start + _CHUNK_ROWS]).decode()
+        yield "\n  ]" if column.size else "]"
+    yield "\n}\n"
+
+
 def _lay_out(x, ok, m, e, width, fixed_end, point_zero, seps, fallback) -> bytes:
     """Text of a float array, row by row, each cell followed by its separator.
 

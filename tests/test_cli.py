@@ -336,10 +336,10 @@ class TestDiagnose:
         assert scans[1750.0]["result"]["decision"] == "break_detected"
         assert scans[1870.0]["result"]["decision"] == "no_break"
 
-    @pytest.mark.parametrize("unit", [1e-160, 1e300])
+    @pytest.mark.parametrize("unit", [1e-160, 1e100, 1e300])
     def test_break_tests_do_not_depend_on_units(self, tmp_path, capsys, unit):
         # Criterion 6's first null series: F and p must not move with the units, except
-        # that residual sums of squares too large for float64 become error entries.
+        # that residual sums of squares outside float64's normal range become error entries.
         years = np.linspace(1500.0, 1950.0, 31)
         clean = 1.0 / (F_PARAMS.a - F_PARAMS.k * years)
         values = clean * np.exp(np.random.default_rng(20260810).normal(0.0, 0.005, years.size))
@@ -359,7 +359,7 @@ class TestDiagnose:
             scans[name] = json.loads(captured.out)["break_tests"][name]
         assert [e["candidate_year"] for e in scans["scaled"]] == [1750.0, 1870.0]
         for plain, scaled in zip(scans["plain"], scans["scaled"]):
-            if unit == 1e-160:
+            if unit != 1e100:
                 assert scaled["result"] is None
                 assert scaled["error"].startswith("series 'scaled': residual sums of squares")
             else:
@@ -756,6 +756,11 @@ FAILURES = [
     # -1e308 spelled as an integer, so argparse reads it as a number, not a flag.
     ("levels_span_float64", ["diagnose", *F_G_PARAMS, "--levels", "-1" + "0" * 308, "1e308"],
      3, "NoSolutionError"),
+    # Both series and C fit, but their quotient, about 1e600 or 1e-600, does not.
+    ("ratio_quotient_overflow", ["ratio", "{hi}", "{lo}"], 2, "UnrepresentableError"),
+    ("diagnose_quotient_overflow", ["diagnose", "--gdp", "{hi}", "--pop", "{lo}", "--candidates"],
+     2, "UnrepresentableError"),
+    ("ratio_quotient_underflow", ["ratio", "{lo}", "{hi}"], 2, "UnrepresentableError"),
 ]
 
 USAGE_ERRORS = [
@@ -797,6 +802,8 @@ class TestEveryFailurePath:
             "tiny_g": tmp_path / "tiny_g.csv",
             "huge_f": tmp_path / "huge_f.csv",
             "huge_g": tmp_path / "huge_g.csv",
+            "hi": tmp_path / "hi.csv",
+            "lo": tmp_path / "lo.csv",
         }
         files["bad"].write_text("year,value\n1,1\n2,oops\n")
         files["two_points"].write_text("year,value\n1,1\n2,2\n")
@@ -809,6 +816,8 @@ class TestEveryFailurePath:
             "tiny_g": [(t, repr(1e-200 / (1 - 0.1 * t))) for t in (0, 0.1, 0.2, 0.3, 0.4)],
             "huge_f": [(i, "%.6g" % (1e300 * (1 + 0.1 * i))) for i in range(5)],
             "huge_g": [(i, "%.6g" % (1e300 * (1 + 0.05 * i))) for i in range(5)],
+            "hi": [(i, repr(1e300 / (1 - 0.1 * i))) for i in range(5)],
+            "lo": [(i, repr(1e-300 / (1 - 0.05 * i))) for i in range(5)],
         }.items():
             files[name].write_text("year,value\n" + "".join(f"{t},{v}\n" for t, v in rows))
         return {name: str(path) for name, path in files.items()}
@@ -823,8 +832,8 @@ class TestEveryFailurePath:
     @pytest.mark.parametrize("argv, exit_code, error_type", [case[1:] for case in FAILURES],
                              ids=[case[0] for case in FAILURES])
     def test_error_json_on_stdout(self, tmp_path, capsys, inputs, argv, exit_code, error_type):
-        refused_grid = argv[-len(REPEATING_GRID):] == REPEATING_GRID
-        if "--out-dir" not in argv:
+        own_out_dir = "--out-dir" in argv
+        if not own_out_dir:
             argv = [*argv, "--out-dir", str(tmp_path / "out")]
         code, captured = self.run_strict(capsys, argv, inputs)
         assert code == exit_code
@@ -835,7 +844,7 @@ class TestEveryFailurePath:
         assert sorted(payload["error"]) == ["exit_code", "message", "type"]
         assert payload["error"]["type"] == error_type
         assert payload["error"]["exit_code"] == exit_code
-        if refused_grid:  # refused before any file is written
+        if not own_out_dir:  # every check runs before any file is written
             assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv))

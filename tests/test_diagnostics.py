@@ -204,8 +204,31 @@ class TestSeriesGrowthRate:
         with pytest.raises(InsufficientDataError):
             series_growth_rate(TimeSeries(years=[0.0, 1.0], values=[1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "years, values, year",
+        [([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0], 0.0),  # the year span overflows
+         ([0.0, 1.0, 2.0], [1e-300, 1.0, 1e300], 1.0),  # the value ratio overflows
+         ([0.0, 1.0, 2.0], [1e300, 1.0, 1e-300], 1.0)],  # and underflows
+        ids=["span", "ratio_overflow", "ratio_underflow"],
+    )
+    def test_outside_float64_refused_without_warning(self, years, values, year):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnrepresentableError, match=f"growth rate at year {year:g} "):
+                series_growth_rate(TimeSeries(years=years, values=values))
+
 
 class TestBreakTest:
+    def test_sums_below_normal_range_refused_per_candidate(self):
+        # Criterion 6's null series times 1e300: F is nonzero, but the residual sums
+        # of 1/y fall below float64's range, so no reader could check F from them.
+        series = synthesize(F_PARAMS, np.linspace(1500.0, 1950.0, 31), noise_sigma=0.02, seed=1)
+        big = TimeSeries(years=series.years, values=series.values * 1e300, name="big")
+        entries = takeoff_scan(big, [1750.0, 1870.0])
+        assert [entry.result for entry in entries] == [None, None]
+        assert all(entry.error.startswith("series 'big': residual sums of squares of 1/y fall "
+                                          "outside float64's normal range") for entry in entries)
+
     def test_noiseless_hyperbolic_has_no_break(self):
         series = synthesize(F_PARAMS, np.linspace(1500.0, 1950.0, 31))
         result = break_test(series, 1750.0)
@@ -288,7 +311,8 @@ class TestBreakTest:
     def test_power_of_two_units_leave_f_and_p_unchanged(self, seed, j, break_year):
         # Criterion 6's null series in units of 2**-j: F, p and the decision are bitwise
         # those of the plain series, and the residual sums are scaled by exactly 2**(-2j),
-        # or, where such a sum overflows float64, the test refuses the series.
+        # or, where such a sum overflows or falls below float64's normal range, the test
+        # refuses the series.
         years = np.linspace(1500.0, 1950.0, 31)
         clean = 1.0 / (F_PARAMS.a - F_PARAMS.k * years)
         values = clean * np.exp(np.random.default_rng(seed).normal(0.0, 0.005, years.size))
@@ -296,9 +320,14 @@ class TestBreakTest:
             warnings.simplefilter("error")
             base = break_test(TimeSeries(years=years, values=values), break_year)
             scaled_series = TimeSeries(years=years, values=np.ldexp(values, j), name="scaled")
+            sums = (base.sse_single, base.sse_segmented)
             try:
-                expected = [math.ldexp(s, -2 * j) for s in (base.sse_single, base.sse_segmented)]
+                expected = [math.ldexp(s, -2 * j) for s in sums]
             except OverflowError:
+                expected = None
+            if expected is None or any(
+                s != 0.0 and e < np.finfo(float).tiny for s, e in zip(sums, expected)
+            ):
                 with pytest.raises(UnrepresentableError, match="^series 'scaled': "):
                     break_test(scaled_series, break_year)
                 return

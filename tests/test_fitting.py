@@ -245,6 +245,19 @@ class TestFitRatio:
         with pytest.raises(UnrepresentableError, match="^series 'f' and 'g': "):
             fit_ratio(f, g)
 
+    @pytest.mark.parametrize("num, den", [(1e300, 1e-300), (1e-300, 1e300)],
+                             ids=["overflow", "underflow"])
+    def test_ratios_outside_normal_range_refused(self, num, den):
+        # Each series fits, and so does C, but their quotient is about 1e600 or 1e-600.
+        years = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        f = TimeSeries(years=years, values=num / (1 - 0.1 * years), name="f")
+        g = TimeSeries(years=years, values=den / (1 - 0.05 * years), name="g")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnrepresentableError,
+                               match="^series 'f' and 'g': ratio at year 0 is outside"):
+                fit_ratio(f, g)
+
     def test_propagates_fit_errors(self):
         bad = TimeSeries(years=[0.0, 1.0, 2.0, 3.0], values=[10.0, 6.0, 3.0, 1.0])
         with pytest.raises(FitRejectedError):

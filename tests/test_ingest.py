@@ -23,7 +23,7 @@ from hypergrowth import (
     synthesize,
     write_csv,
 )
-from hypergrowth.cli import _json_table
+from hypergrowth.ingest import json_table
 
 from conftest import F_PARAMS
 
@@ -674,6 +674,6 @@ def test_json_table_matches_dumps_on_bit_patterns(bits, n_cols, n_rows, negative
              for col in range(n_cols)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = "".join(_json_table(table))
+        text = "".join(json_table(table))
     want = json.dumps({k: v.tolist() for k, v in table.items()}, indent=2, sort_keys=True)
     assert text == want + "\n"
