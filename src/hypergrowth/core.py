@@ -80,7 +80,7 @@ def eval_hyperbolic(p: HyperbolicParams, t):
     Raises DomainError at or past the singularity guard.
     """
     line = reciprocal_value(p, t)
-    if np.any(past_guard(p, line)):
+    if past_guard(p, line).any():
         raise DomainError(
             f"time at or beyond the singularity guard "
             f"(singularity at t_s={p.singularity_time:.6g})"

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import HypergrowthError, InsufficientDataError, UnrepresentableError, ValidationError
 from .fitting import _line_sse, _reciprocal
 from .ratio import RatioModel, ratio_gradient, ratio_growth_rate, time_at_ratio
-from .series import TimeSeries, _first_fault, _frozen_array
+from .series import TimeSeries, _first_fault, _frozen_array, _in_normal_range
 
 #: Each abscissa kind and its name in curve headers and messages.
 ABSCISSA_NAMES = {"time": "year", "ratio_size": "ratio_size"}
@@ -115,7 +115,7 @@ def _time_curve(m: RatioModel, quantity: str, evaluate, grid) -> DiagnosticsCurv
     a curve of such values can contradict the sign of C.
     """
     curve = DiagnosticsCurve("time", quantity, grid, evaluate(m, grid))
-    small = np.abs(curve.values) < np.finfo(float).tiny
+    small = ~_in_normal_range(curve.values)
     if m.modulation_constant != 0.0 and small.any():
         i = int(np.argmax(small))
         raise ValidationError(
@@ -187,7 +187,7 @@ def series_growth_rate(series: TimeSeries) -> DiagnosticsCurve:
     with np.errstate(over="ignore", divide="ignore"):  # refused below or by the curve check
         span, quotient = t[2:] - t[:-2], y[2:] / y[:-2]
         rate = np.log(quotient) / span
-    bad = ~(np.isfinite(span) & (np.finfo(float).tiny <= quotient) & (quotient < np.inf))
+    bad = ~(np.isfinite(span) & _in_normal_range(quotient))
     if bad.any():
         i = int(bad.argmax()) + 1
         raise UnrepresentableError(
@@ -243,10 +243,10 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
         f_stat = max(0.0, (sse_single - sse_segmented) / 2.0 / (sse_segmented / (n - 4)))
         p_value = f_survival(f_stat, float(n - 4))
     scaled = (sse_single, sse_segmented)
-    tiny = 0.0 if noiseless else np.finfo(float).tiny  # sums of rounding noise may underflow
     try:  # the sums in the values' own units are the scaled sums times 2**(-2*top)
-        sse_single, sse_segmented = (math.ldexp(s, -2 * top) for s in scaled)
-        ok = all(s == 0.0 or math.ldexp(s, -2 * top) >= tiny for s in scaled)
+        sse_single, sse_segmented = unscaled = [math.ldexp(s, -2 * top) for s in scaled]
+        # a noiseless series' sums are rounding noise, kept even where they underflow
+        ok = noiseless or all(s == 0.0 or _in_normal_range(u) for s, u in zip(scaled, unscaled))
     except OverflowError:
         ok = False
     if not ok:

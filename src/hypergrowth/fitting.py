@@ -25,7 +25,7 @@ from .core import HyperbolicParams, eval_hyperbolic
 from .core import reciprocal_value  # noqa: F401  (bench/tracing.py wraps this attribute)
 from .errors import FitRejectedError, InsufficientDataError, UnrepresentableError
 from .ratio import RatioModel, eval_ratio, make_ratio, past_domain
-from .series import TimeSeries
+from .series import TimeSeries, _in_normal_range
 
 WEIGHTINGS = ("unweighted", "size_squared")
 
@@ -152,7 +152,7 @@ def fit_ratio(
         raise UnrepresentableError(f"series {names}: {exc}") from None
 
     common, num_idx, den_idx = np.intersect1d(
-        numerator.years, denominator.years, return_indices=True
+        numerator.years, denominator.years, assume_unique=True, return_indices=True
     )
     if common.size < 3:
         raise InsufficientDataError(
@@ -165,8 +165,7 @@ def fit_ratio(
     in_domain = ~past_domain(model, common)
     common, observed = common[in_domain], observed[in_domain]
     predicted = eval_ratio(model, common)
-    tiny = np.finfo(float).tiny
-    bad = ~((tiny <= observed) & (observed < np.inf) & (tiny <= predicted) & (predicted < np.inf))
+    bad = ~(_in_normal_range(observed) & _in_normal_range(predicted))
     if bad.any():
         i = int(bad.argmax())
         raise UnrepresentableError(

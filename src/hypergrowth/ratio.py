@@ -28,6 +28,7 @@ import numpy as np
 from .core import eval_hyperbolic  # noqa: F401  (bench/tracing.py wraps this attribute)
 from .core import HyperbolicParams, past_guard, reciprocal_value
 from .errors import DomainError, NoSolutionError
+from .series import _in_normal_range
 
 #: Pathways for evaluating the ratio; all agree to rounding error.
 PATHWAYS = ("direct", "hyperbolic_times_linear", "linear_over_linear")
@@ -57,7 +58,7 @@ class RatioModel:
 
     def __post_init__(self):  # Python floats: the products overflow or underflow, never warn
         terms = float(self.f.k) * float(self.g.a), float(self.g.k) * float(self.f.a)
-        if not all(np.finfo(float).tiny <= term < np.inf for term in terms):
+        if not _in_normal_range(terms).all():
             raise ValueError("need normal floats k_f*a_g and k_g*a_f, got %g and %g" % terms)
 
     @property
@@ -87,7 +88,7 @@ def past_domain(m: RatioModel, t):
 def _guarded_lines(m: RatioModel, t):
     """Both reciprocal lines at t, raising DomainError past the model domain."""
     lin_f, lin_g = reciprocal_value(m.f, t), reciprocal_value(m.g, t)
-    if np.any(past_guard(m.f, lin_f) | past_guard(m.g, lin_g)):
+    if (past_guard(m.f, lin_f) | past_guard(m.g, lin_g)).any():
         raise DomainError(
             f"time at or beyond the ratio domain "
             f"(earliest singularity at t_s={m.domain_end:.6g})"

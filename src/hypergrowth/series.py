@@ -47,6 +47,12 @@ def _first_fault(
     return None
 
 
+def _in_normal_range(x):
+    """True elementwise where |x| is finite and at least float64's smallest normal: not 0, NaN."""
+    mag = np.abs(x)
+    return (np.finfo(float).tiny <= mag) & (mag < np.inf)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Observations of one quantity over historical time.

@@ -229,6 +229,13 @@ class TestBreakTest:
         assert all(entry.error.startswith("series 'big': residual sums of squares of 1/y fall "
                                           "outside float64's normal range") for entry in entries)
 
+    def test_subnormal_sums_refused(self):
+        # Times 2**510 the sums are nonzero (about 3e-310) but below the smallest normal float.
+        series = synthesize(F_PARAMS, np.linspace(1500.0, 1950.0, 31), noise_sigma=0.02, seed=1)
+        scaled = TimeSeries(years=series.years, values=np.ldexp(series.values, 510), name="s")
+        with pytest.raises(UnrepresentableError, match="outside float64's normal range"):
+            break_test(scaled, 1750.0)
+
     def test_noiseless_hyperbolic_has_no_break(self):
         series = synthesize(F_PARAMS, np.linspace(1500.0, 1950.0, 31))
         result = break_test(series, 1750.0)

@@ -24,6 +24,7 @@ from hypergrowth import (
     write_csv,
 )
 from hypergrowth.ingest import json_table
+from hypergrowth.series import _in_normal_range
 
 from conftest import F_PARAMS
 
@@ -276,6 +277,36 @@ class TestTimeSeriesInvariants:
         series = TimeSeries(years=[1.0, 1000.0, 1500.0, 1960.0], values=[1, 2, 3, 4])
         out = series.restrict(500.0, 1500.0)
         np.testing.assert_allclose(out.years, [1000.0, 1500.0])
+
+
+TINY = np.finfo(float).tiny
+NORMAL_RANGE_EDGES = [
+    (TINY, True),
+    (-TINY, True),
+    (np.finfo(float).max, True),
+    (float(np.nextafter(TINY, 0.0)), False),
+    (0.0, False),
+    (-0.0, False),
+    (math.inf, False),
+    (-math.inf, False),
+    (math.nan, False),
+]
+
+
+class TestNormalRange:
+    """The one float64 range rule behind every overflow and underflow refusal."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, expected", NORMAL_RANGE_EDGES)
+    def test_python_float_edges(self, x, expected):
+        assert bool(_in_normal_range(float(x))) is expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_array_matches_scalars(self):
+        xs, expected = zip(*NORMAL_RANGE_EDGES)
+        out = _in_normal_range(np.array(xs, dtype=float))
+        assert out.dtype == bool
+        assert out.tolist() == list(expected)
 
 
 def _reference_parse(fh, year_col, value_col, name):
