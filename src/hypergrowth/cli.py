@@ -415,6 +415,9 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
                 parser.error("--gdp and --pop must be given together")
             if any(v is not None for v in params_given):
                 parser.error("give either --gdp/--pop or explicit --f-a/--f-k/--g-a/--g-k")
+            stems = [Path(p).stem for p in (args.gdp, args.pop, args.series) if p is not None]
+            if len(set(stems)) < len(stems):  # each stem keys one series' break_tests entry
+                parser.error(f"--gdp, --pop and --series share a file stem: {', '.join(stems)}")
         elif any(v is None for v in params_given):
             parser.error("need --gdp/--pop or all of --f-a, --f-k, --g-a, --g-k")
         else:

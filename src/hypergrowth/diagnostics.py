@@ -211,54 +211,48 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
 
     On the fit's scaled reciprocals, where the no-break null is a single
     straight line, the F statistic compares that line's residual sum against
-    two independently fitted lines split at the break year (observations at
-    it join the second segment), with 2 and n-4 degrees of freedom; scaling
-    the values by a power of two leaves F and p unchanged. Noiseless data
-    that a single line explains exactly, to 1e-20 of the reciprocals' sum of
-    squares (a constant series among them), carries no evidence of a break:
-    the statistic is defined as 0 and the p-value as 1. Otherwise, residual
-    sums that overflow, or that are nonzero but below float64's normal range,
-    in the values' own units raise UnrepresentableError.
+    two independently fitted lines, one on the years before the break year and
+    one on all the rest (a year equal to it joins the second), with 2 and n-4
+    degrees of freedom; scaling the values by a power of two leaves F and p
+    unchanged. Noiseless data that a single line explains exactly, to 1e-20 of
+    the reciprocals' sum of squares (a constant series among them), carries no
+    evidence of a break: F is 0. Two exact segments give F = inf. The
+    closed-form tail gives p = 1 at F = 0 and p = 0 at F = inf. Residual sums
+    that overflow in the values' own units, or, unless the data are noiseless,
+    that are nonzero but below float64's normal range, raise UnrepresentableError.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     t = series.years
-    before = t < break_year
-    after = t > break_year
-    if before.sum() < 3 or after.sum() < 3:
+    j, after = int(np.count_nonzero(t < break_year)), int(np.count_nonzero(t > break_year))
+    if j < 3 or after < 3:
         raise InsufficientDataError(
             f"series {series.name!r}: need at least 3 points strictly on each side "
-            f"of {break_year:g}, got {int(before.sum())} before and {int(after.sum())} after"
+            f"of {break_year:g}, got {j} before and {after} after"
         )
     z, w, top = _reciprocal(series, "unweighted")
-    sse_single = _line_sse(t, z, w)[3]
-    sse_segmented = sum(_line_sse(t[m], z[m], w[m])[3] for m in (before, ~before))
-    n = len(series)
-    noiseless = sse_single <= 1e-20 * float((w * z * z).sum())  # z >= 1: the sum is positive
-    if noiseless:
-        f_stat, p_value = 0.0, 1.0
-    elif sse_segmented == 0.0:
-        f_stat, p_value = float("inf"), 0.0
-    else:
-        f_stat = max(0.0, (sse_single - sse_segmented) / 2.0 / (sse_segmented / (n - 4)))
-        p_value = f_survival(f_stat, float(n - 4))
-    scaled = (sse_single, sse_segmented)
-    try:  # the sums in the values' own units are the scaled sums times 2**(-2*top)
-        sse_single, sse_segmented = unscaled = [math.ldexp(s, -2 * top) for s in scaled]
-        # a noiseless series' sums are rounding noise, kept even where they underflow
-        ok = noiseless or all(s == 0.0 or _in_normal_range(u) for s, u in zip(scaled, unscaled))
-    except OverflowError:
-        ok = False
-    if not ok:
+    single, segmented = scaled = np.array([
+        _line_sse(t, z, w)[3], _line_sse(t[:j], z[:j], w[:j])[3] + _line_sse(t[j:], z[j:], w[j:])[3]
+    ])
+    noiseless = single <= 1e-20 * (w * z * z).sum()  # z >= 1: the sum is positive
+    df_den = float(len(series) - 4)
+    with np.errstate(divide="ignore", over="ignore"):  # an inf F stands; inf sums are refused
+        f_stat = 0.0 if noiseless else max(0.0, (single - segmented) / 2.0 / (segmented / df_den))
+        unscaled = np.ldexp(scaled, -2 * top)  # the sums in the values' own units
+    # a noiseless series' sums are rounding noise, kept even where they underflow
+    ok = np.isfinite(unscaled) & (noiseless | (scaled == 0.0) | _in_normal_range(unscaled))
+    if not ok.all():
         raise UnrepresentableError(
             f"series {series.name!r}: residual sums of squares of 1/y fall outside float64's "
             f"normal range for values from {series.values.min():g} to {series.values.max():g}"
         )
+    sse_single, sse_segmented = unscaled.tolist()
+    p_value = f_survival(f_stat, df_den)
     return BreakTestResult(
         break_year=float(break_year),
         sse_single=sse_single,
         sse_segmented=sse_segmented,
-        f_statistic=f_stat,
+        f_statistic=float(f_stat),
         p_value=p_value,
         decision=BreakDecision.BREAK_DETECTED if p_value < alpha else BreakDecision.NO_BREAK,
         alpha=alpha,

@@ -368,6 +368,24 @@ class TestDiagnose:
                     assert scaled["result"][key] == pytest.approx(plain["result"][key], rel=1e-12)
                 assert scaled["result"]["decision"] == plain["result"]["decision"]
 
+    def test_shared_file_stem_is_usage_error(self, tmp_path, capsys):
+        # break_tests is keyed by file stem, so a shared stem would drop a series' results.
+        paths = [tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv", tmp_path / "data.csv"]
+        for path, params in zip(paths, (F_PARAMS, G_PARAMS, F_PARAMS)):
+            path.parent.mkdir(exist_ok=True)
+            synth_file(path.parent, path.name, params, start=1000.0, stop=1950.0, step=25.0)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        code = main(["diagnose", "--gdp", str(paths[0]), "--pop", str(paths[1]),
+                     "--series", str(paths[2]), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: --gdp, --pop and --series share a file stem: data, data, data\n"
+        )
+        assert not out_dir.exists()
+
     def test_usage_error_without_inputs(self, tmp_path, capsys):
         code = main(["diagnose", "--out-dir", str(tmp_path)])
         assert code == 1

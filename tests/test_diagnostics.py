@@ -1,4 +1,5 @@
 import math
+import operator
 import warnings
 from decimal import Decimal, localcontext
 
@@ -307,6 +308,39 @@ class TestBreakTest:
         # 3 strictly before, 3 strictly after; the 1750 point itself rides along
         result = break_test(series, 1750.0)
         assert result.decision is BreakDecision.NO_BREAK
+
+    def test_candidate_is_a_split_index(self):
+        # Every break year in (t_{k-1}, t_k] puts the first k years in the first segment,
+        # so it must give exactly the sums, F, p and decision of the data year t_k.
+        series = synthesize(F_PARAMS, np.linspace(1500.0, 1950.0, 31), noise_sigma=0.02, seed=3)
+        t = series.years
+        fields = operator.attrgetter("sse_single", "sse_segmented", "f_statistic", "p_value",
+                                     "decision")
+        splits = 0
+        for k in range(1, t.size):
+            try:
+                expected = fields(break_test(series, t[k]))
+            except InsufficientDataError:
+                continue
+            for year in ((t[k - 1] + t[k]) / 2, np.nextafter(t[k], -np.inf)):
+                assert fields(break_test(series, year)) == expected
+            splits += 1
+        assert splits == 25
+
+    def test_noiseless_sums_that_overflow_refused(self):
+        # A noiseless series' sums are rounding noise, kept even below float64's normal
+        # range, but not when they overflow in the values' own units.
+        series = synthesize(F_PARAMS, np.linspace(1500.0, 1950.0, 31))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for unit in (1e-200, 1e-300):
+                scaled = TimeSeries(years=series.years, values=series.values * unit, name="s")
+                with pytest.raises(UnrepresentableError, match="outside float64's normal range"):
+                    break_test(scaled, 1750.0)
+            scaled = TimeSeries(years=series.years, values=series.values * 1e-150, name="s")
+            result = break_test(scaled, 1750.0)
+        assert (result.f_statistic, result.p_value) == (0.0, 1.0)
+        assert all(1e260 < s < 1e280 for s in (result.sse_single, result.sse_segmented))  # ~5e270
 
 
     @settings(max_examples=300, deadline=None)
