@@ -424,6 +424,10 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
             models = [("--f-a/--f-k", "f_a", "f_k"), ("--g-a/--g-k", "g_a", "g_k")]
     if args.command == "synth" and args.stop < args.start:
         parser.error(f"--to {args.stop:g} is before --from {args.start:g}")
+    if getattr(args, "window", None) and args.window[1] < args.window[0]:
+        parser.error(f"--window HI {args.window[1]:g} is below LO {args.window[0]:g}")
+    if args.year_col == args.value_col:
+        parser.error(f"--year-col and --value-col are both {args.year_col!r}")
     params = []
     for flags, a, k in models:
         try:

@@ -69,8 +69,6 @@ class DiagnosticsCurve:
         x, values = _frozen_array(self.x), _frozen_array(self.values)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
-        if x.shape != values.shape:
-            raise ValidationError("curve abscissa and values differ in length")
         fault = _first_fault(x, values, ABSCISSA_NAMES[self.abscissa_kind], positive=False)
         if fault is not None:
             raise ValidationError(f"ratio {self.quantity} curve: {fault[1]}")

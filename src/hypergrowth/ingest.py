@@ -33,9 +33,11 @@ def parse_csv(
 ) -> TimeSeries:
     """Parse a (year, value) CSV file or text stream into a TimeSeries.
 
-    Raises ParseError for malformed input and ValidationError for rows that
-    violate series invariants; both name the offending line.
+    Raises ValueError if year_col equals value_col, and ParseError (malformed input)
+    or ValidationError (rows that violate series invariants) naming the offending line.
     """
+    if year_col == value_col:
+        raise ValueError(f"year_col and value_col are both {year_col!r}")
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
         fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")

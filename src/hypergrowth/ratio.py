@@ -30,8 +30,14 @@ from .core import HyperbolicParams, past_guard, reciprocal_value
 from .errors import DomainError, NoSolutionError
 from .series import _in_normal_range
 
+# Each pathway's formula of the two reciprocal lines.
+_FORMULAS = {
+    "direct": lambda lin_f, lin_g: (1.0 / lin_f) / (1.0 / lin_g),
+    "hyperbolic_times_linear": lambda lin_f, lin_g: (1.0 / lin_f) * lin_g,
+    "linear_over_linear": lambda lin_f, lin_g: lin_g / lin_f,
+}
 #: Pathways for evaluating the ratio; all agree to rounding error.
-PATHWAYS = ("direct", "hyperbolic_times_linear", "linear_over_linear")
+PATHWAYS = tuple(_FORMULAS)
 
 
 class Shape(str, enum.Enum):
@@ -85,15 +91,16 @@ def past_domain(m: RatioModel, t):
     return past_guard(m.f, reciprocal_value(m.f, t)) | past_guard(m.g, reciprocal_value(m.g, t))
 
 
-def _guarded_lines(m: RatioModel, t):
-    """Both reciprocal lines at t, raising DomainError past the model domain."""
+def _on_domain(m: RatioModel, t, formula):
+    """``formula(lin_f, lin_g)`` of the two reciprocal lines at t; DomainError past the domain."""
     lin_f, lin_g = reciprocal_value(m.f, t), reciprocal_value(m.g, t)
     if (past_guard(m.f, lin_f) | past_guard(m.g, lin_g)).any():
         raise DomainError(
             f"time at or beyond the ratio domain "
             f"(earliest singularity at t_s={m.domain_end:.6g})"
         )
-    return lin_f, lin_g
+    with np.errstate(over="ignore"):  # +-inf beside a tiny line: curve checks refuse it
+        return formula(lin_f, lin_g)
 
 
 def eval_ratio(m: RatioModel, t, pathway: str = "direct"):
@@ -106,13 +113,7 @@ def eval_ratio(m: RatioModel, t, pathway: str = "direct"):
     """
     if pathway not in PATHWAYS:
         raise ValueError(f"unknown pathway {pathway!r}; expected one of {PATHWAYS}")
-    lin_f, lin_g = _guarded_lines(m, t)
-    with np.errstate(over="ignore"):  # +-inf beside a tiny line: curve checks refuse it
-        if pathway == "direct":
-            return (1.0 / lin_f) / (1.0 / lin_g)
-        if pathway == "hyperbolic_times_linear":
-            return (1.0 / lin_f) * lin_g
-        return lin_g / lin_f
+    return _on_domain(m, t, _FORMULAS[pathway])
 
 
 def ratio_gradient(m: RatioModel, t):
@@ -122,9 +123,7 @@ def ratio_gradient(m: RatioModel, t):
     change of growth direction. Dividing by the line twice, rather than by
     its square, cannot overflow far from the singularities.
     """
-    lin_f, _ = _guarded_lines(m, t)
-    with np.errstate(over="ignore"):  # +-inf beside a tiny line: curve checks refuse it
-        return m.modulation_constant / lin_f / lin_f
+    return _on_domain(m, t, lambda lin_f, _: m.modulation_constant / lin_f / lin_f)
 
 
 def ratio_growth_rate(m: RatioModel, t):
@@ -134,9 +133,7 @@ def ratio_growth_rate(m: RatioModel, t):
     grows; the closed form keeps the sign of C. Positive for all valid t iff
     C > 0; satisfies R' = R * d(ln R)/dt.
     """
-    lin_f, lin_g = _guarded_lines(m, t)
-    with np.errstate(over="ignore"):  # +-inf beside a tiny line: curve checks refuse it
-        return m.modulation_constant / lin_f / lin_g
+    return _on_domain(m, t, lambda lin_f, lin_g: m.modulation_constant / lin_f / lin_g)
 
 
 def time_at_ratio(m: RatioModel, level: float) -> float:

@@ -25,11 +25,14 @@ def _first_fault(
 ) -> tuple[int, str] | None:
     """Index and message of the first row that breaks a series or curve invariant.
 
-    Checks run in a fixed order: finite abscissas (``x_name``, years by
-    default), strictly increasing abscissas, then finite values, positive
-    too if ``positive``; within each, the first offending row wins.
-    Neighbours are compared rather than subtracted, so no check can overflow.
+    Checks run in a fixed order: equal lengths (reported at the first row one
+    array lacks), finite abscissas (``x_name``, years by default), strictly
+    increasing abscissas, then finite values, positive too if ``positive``;
+    within each, the first offending row wins. Neighbours are compared
+    rather than subtracted, so no check can overflow.
     """
+    if years.size != values.size:
+        return min(years.size, values.size), f"{years.size} {x_name}s but {values.size} values"
     bad = ~np.isfinite(years)
     if bad.any():
         i = int(bad.argmax())
@@ -70,10 +73,6 @@ class TimeSeries:
         values = _frozen_array(self.values)
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
-        if years.shape != values.shape:
-            raise ValidationError(
-                f"series {self.name!r}: {years.size} years but {values.size} values"
-            )
         fault = _first_fault(years, values)
         if fault is not None:
             raise ValidationError(f"series {self.name!r}: {fault[1]}")

@@ -797,6 +797,9 @@ USAGE_ERRORS = [
     ["downsample", "{f}", "--years", "nan"],
     [*SYNTH_F, "--noise", "-1"],
     ["diagnose", "--f-a", "1e200", "--f-k", "1e200", "--g-a", "1e200", "--g-k", "1", "--candidates"],
+    ["fit", "{f}", "--year-col", "year", "--value-col", "year"],
+    [*SYNTH_F, "--year-col", "v", "--value-col", "v"],
+    ["fit", "{f}", "--window", "2000", "500"],
 ]
 
 

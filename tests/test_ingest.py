@@ -167,6 +167,10 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="header"):
             parse_csv(io.StringIO(""))
 
+    def test_one_column_for_year_and_value_rejected(self):
+        with pytest.raises(ValueError, match="year_col and value_col are both 'year'"):
+            parse_csv(io.StringIO("year,value\n1,1\n2,2\n3,3\n"), value_col="year")
+
     def test_custom_columns_and_blank_lines(self):
         text = "when,how_much\n\n1820,1.2\n1870,1.9\n"
         series = parse_csv(io.StringIO(text), year_col="when", value_col="how_much")
