@@ -121,7 +121,7 @@ def _curve_table(stem: str, curve: DiagnosticsCurve) -> tuple:
 
 
 def _write_json(path: Path, parts) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(parts)
 
 
@@ -183,13 +183,16 @@ def cmd_ratio(args) -> tuple[dict, dict]:
     grid = _resolve_grid(args, start, model.f, model.g)
     curve = DiagnosticsCurve("time", "value", grid, eval_ratio(model, grid))
     residuals = rfit.residuals
+    max_abs = np.max(np.abs(residuals), initial=0.0)
+    top = np.frexp(max_abs)[1]  # each r / 2**top is below 1 in size, so its square is finite
     sections = {
         "fits": fits,
         "ratio": _model_summary(model),
         "residuals": {
             "n_common_years": int(rfit.common_years.size),
-            "rmse": float(np.sqrt(np.mean(residuals**2))) if residuals.size else None,
-            "max_abs": float(np.max(np.abs(residuals))) if residuals.size else None,
+            "rmse": float(np.ldexp(np.sqrt(np.mean(np.ldexp(residuals, -top) ** 2)), top))
+            if residuals.size else None,
+            "max_abs": float(max_abs) if residuals.size else None,
         },
     }
     header = ["year", "observed", "model", "residual"]
@@ -468,7 +471,7 @@ def main(argv=None) -> int:
             report = {"schema_version": SCHEMA_VERSION, "command": args.command,
                       "config": config, **sections, "artifacts": artifacts}
             text = json.dumps(report, indent=2, sort_keys=True)
-            _write_json(out / f"{args.command}_report.json", (text, "\n"))
+            _write_json(out / f"{args.command}_report.json", (text.encode("ascii"), b"\n"))
     except (DataError, DomainError, OSError) as exc:
         code = EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_DATA
         error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}

@@ -165,24 +165,30 @@ def write_csv(
 
 
 def write_columns(dest, header: list[str], columns) -> None:
-    """Write parallel numeric columns as CSV to a path or text stream.
+    """Write equal-length numeric columns as CSV to a path or text stream.
 
     Every number is written as format(v, ".12g"): 12 significant digits,
     far beyond the precision of any historical table. Rows end in a bare
-    newline.
-    Only the header can need quoting; rows are formatted in bulk by
-    _format_rows, _CHUNK_ROWS at a time.
+    newline. Columns of unequal lengths raise ValueError before anything is written.
+    _format_rows lays the rows out as bytes in blocks of _CHUNK_ROWS (8,192), whose
+    temporaries stay in cache and are reused rather than faulted in again. A path's
+    file gets the bytes as they are, a text stream decoded.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_columns(fh, header, columns)
-        return
-    csv.writer(dest, lineterminator="\n").writerow(header)
     columns = [np.asarray(c, dtype=float) for c in columns]
-    rows = min((len(c) for c in columns), default=0)
-    for start in range(0, rows, _CHUNK_ROWS):
-        chunk = np.column_stack([c[start : min(start + _CHUNK_ROWS, rows)] for c in columns])
-        dest.write(_format_rows(chunk).decode())
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {lengths}")
+    head = io.StringIO()  # only the header can need quoting
+    csv.writer(head, lineterminator="\n").writerow(header)
+    blocks = (_format_rows(np.column_stack([c[i : i + _CHUNK_ROWS] for c in columns]))
+              for i in range(0, max(lengths, default=0), _CHUNK_ROWS))
+    if isinstance(dest, (str, Path)):
+        with open(dest, "wb") as fh:
+            fh.write(head.getvalue().encode())
+            fh.writelines(blocks)
+    else:
+        dest.write(head.getvalue())
+        dest.writelines(block.decode() for block in blocks)
 
 
 # Twelve significant digits of |v| are the integer rint(|v| * 10**(11 - e)),
@@ -194,7 +200,7 @@ def write_columns(dest, header: list[str], columns) -> None:
 # format().
 _POW10 = np.array([10**k for k in range(23)], dtype=float)
 _TIE_MARGIN = 1e-3
-_CHUNK_ROWS = 1 << 14
+_CHUNK_ROWS = 1 << 13
 _LEADS = np.array([b"0.000", b"0.00", b"0.0", b"0."]).view(np.uint8).reshape(4, 5)  # e = -4..-1
 # _format_json's half-widths 5**s, the powers of ten it tries, and its separator.
 _POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
@@ -291,18 +297,18 @@ def _format_json(column) -> bytes:
 
 
 def json_table(table: dict):
-    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline.
+    """``json.dumps(table, indent=2, sort_keys=True)`` plus a newline, as UTF-8 bytes.
 
-    Yields the text in pieces of at most _CHUNK_ROWS cells, so a writer holds one at a time.
+    Yields it in blocks of at most _CHUNK_ROWS cells, one held at a time (see write_columns).
     """
     for i, key in enumerate(sorted(table)):
-        yield ("," if i else "{") + f"\n  {json.dumps(key)}: ["
+        yield (("," if i else "{") + f"\n  {json.dumps(key)}: [").encode()
         column = np.asarray(table[key], dtype=float)
         for start in range(0, column.size, _CHUNK_ROWS):
-            yield ",\n    " if start else "\n    "
-            yield _format_json(column[start : start + _CHUNK_ROWS]).decode()
-        yield "\n  ]" if column.size else "]"
-    yield "\n}\n"
+            yield b",\n    " if start else b"\n    "
+            yield _format_json(column[start : start + _CHUNK_ROWS])
+        yield b"\n  ]" if column.size else b"]"
+    yield b"\n}\n"
 
 
 def _lay_out(x, ok, m, e, width, fixed_end, point_zero, seps, fallback) -> bytes:

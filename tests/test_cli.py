@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hypergrowth
+from hypergrowth import HyperbolicParams, synthesize, write_csv
 from hypergrowth.cli import main
 
 from conftest import F_PARAMS, G_PARAMS
@@ -226,6 +227,21 @@ class TestRatio:
         assert report["ratio"]["shape"] == "constant"
         curve = np.loadtxt(tmp_path / "ratio_curve.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(curve[:, 1], 1.0, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rmse_of_residuals_whose_squares_overflow(self, tmp_path, capsys):
+        grid = np.linspace(1500, 1950, 31)
+        pair = [(HyperbolicParams(2020e-250, 1e-250), 1), (HyperbolicParams(2030e-50, 1e-50), 2)]
+        for name, (params, seed) in zip(("f.csv", "g.csv"), pair):
+            write_csv(synthesize(params, grid, 0.05, seed=seed), tmp_path / name)
+        code, out = run_cli(
+            capsys, "ratio", str(tmp_path / "f.csv"), str(tmp_path / "g.csv"),
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        residuals = json.loads(out)["residuals"]
+        assert residuals["max_abs"] > 1e154  # its square overflows float64
+        assert residuals["max_abs"] / 31**0.5 <= residuals["rmse"] <= residuals["max_abs"]
 
 
 class TestDiagnose:

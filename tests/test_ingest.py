@@ -209,6 +209,27 @@ class TestSerializationRoundTrip:
         once = _csv_text(parse_csv(io.StringIO(_csv_text(series))))
         assert once == _csv_text(series)
 
+    def test_path_and_text_stream_get_the_same_text(self, tmp_path):
+        """A file gets the row blocks as bytes, a text stream decoded; the texts agree."""
+        n = 2 * ingest._CHUNK_ROWS + 1
+        years = np.arange(n, dtype=float)
+        series = TimeSeries(years=years, values=np.exp(years / 1000))
+        write_csv(series, tmp_path / "series.csv", value_col="年")
+        buf = io.StringIO()
+        write_csv(series, buf, value_col="年")
+        assert buf.getvalue().startswith("year,年\n0,1\n1,1.00100050017\n")
+        assert (tmp_path / "series.csv").read_bytes().decode("utf-8") == buf.getvalue()
+
+    @pytest.mark.parametrize("to_path", [True, False], ids=["path", "text_stream"])
+    def test_unequal_columns_rejected_before_writing(self, tmp_path, to_path):
+        dest = tmp_path / "t.csv" if to_path else io.StringIO()
+        with pytest.raises(ValueError, match=r"columns of unequal lengths \[2, 3\]"):
+            ingest.write_columns(dest, ["x", "y"], [[1.0, 2.0, 3.0], [1.0, 2.0]])
+        if to_path:
+            assert not dest.exists()
+        else:
+            assert dest.getvalue() == ""
+
 
 class TestSynthesize:
     def test_noiseless_round_trip(self):
@@ -709,6 +730,6 @@ def test_json_table_matches_dumps_on_bit_patterns(bits, n_cols, n_rows, negative
              for col in range(n_cols)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = "".join(json_table(table))
+        text = b"".join(json_table(table)).decode()
     want = json.dumps({k: v.tolist() for k, v in table.items()}, indent=2, sort_keys=True)
     assert text == want + "\n"
