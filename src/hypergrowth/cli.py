@@ -50,9 +50,9 @@ EXIT_DATA = 2
 EXIT_DOMAIN = 3
 
 DEFAULT_GRID_POINTS = 512
-# The most float64 elements numpy allows in one array; it refuses larger
-# grids with "Maximum allowed size exceeded".
-MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
+# A grid size numpy accepts: it refuses arange and linspace of 2**60 - 64
+# points or more with "array is too big", not MemoryError.
+MAX_GRID_POINTS = np.iinfo(np.intp).max // 16
 
 #: The series commands and the file each writes in --out-dir when --out is not given.
 SERIES_FILES = {"synth": "synthetic.csv", "downsample": "downsampled.csv"}
@@ -106,7 +106,9 @@ def _model_summary(m: RatioModel) -> dict:
 
 
 def _write_table(out_dir: Path, stem: str, header: list[str], columns, fmt: str) -> str:
-    """Write parallel columns as CSV or JSON; returns the file name."""
+    """Write every artifact table, CSV or JSON, each column named once; returns the file name."""
+    if len(header) != len(columns) or len(set(header)) < len(header):
+        raise ValueError(f"header {header} does not name each of {len(columns)} columns once")
     name = f"{stem}.{fmt}"
     if fmt == "csv":
         write_columns(out_dir / name, header, columns)
@@ -204,14 +206,10 @@ def cmd_ratio(args) -> tuple[dict, dict]:
 
 
 def cmd_diagnose(args) -> tuple[dict, dict]:
+    model, rfit, break_targets, fits, default_start = args.model, None, [], {}, 0.0
     if args.gdp is not None:
         rfit, break_targets, fits, default_start = _fit_pair(args, args.gdp, args.pop)
         model = rfit.model
-    else:
-        rfit, break_targets, fits, default_start = None, [], {}, 0.0
-        model = make_ratio(
-            HyperbolicParams(args.f_a, args.f_k), HyperbolicParams(args.g_a, args.g_k)
-        )
     if args.series is not None:
         break_targets.append(_load_series(args.series, args))
 
@@ -256,12 +254,11 @@ def cmd_diagnose(args) -> tuple[dict, dict]:
 
 
 def cmd_synth(args) -> TimeSeries:
-    params = HyperbolicParams(args.a, args.k)
     n = np.floor((args.stop - args.start) / args.step + 1e-9) + 1
     if not n <= MAX_GRID_POINTS:
         raise ValidationError(f"grid of {n:g} points exceeds {MAX_GRID_POINTS:g}")
     grid = args.start + args.step * np.arange(int(n))
-    return synthesize(params, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic")
+    return synthesize(args.model, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic")
 
 
 def cmd_downsample(args) -> TimeSeries:
@@ -431,15 +428,16 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--window HI {args.window[1]:g} is below LO {args.window[0]:g}")
     if args.year_col == args.value_col:
         parser.error(f"--year-col and --value-col are both {args.year_col!r}")
-    params = []
+    built = []
     for flags, a, k in models:
         try:
-            params.append(HyperbolicParams(getattr(args, a), getattr(args, k)))
-            if len(params) == 2:  # the diagnose pair: its ratio model must be valid too
+            built.append(HyperbolicParams(getattr(args, a), getattr(args, k)))
+            if len(built) == 2:  # the diagnose pair: its ratio model must be valid too
                 flags = "--f-a/--f-k/--g-a/--g-k"
-                make_ratio(*params)
+                built = [make_ratio(*built)]
         except ValueError as exc:
             parser.error(f"{flags}: {exc}")
+    args.model = built[0] if built else None  # the model the flags give, for the command
 
 
 def main(argv=None) -> int:
@@ -448,8 +446,9 @@ def main(argv=None) -> int:
     Commands only compute; this is the one place that writes, so a failed
     command writes nothing: a series to ``--out``, or each table and then the
     report, in one envelope (``schema_version``, ``command``, resolved
-    ``config``), to ``<command>_report.json`` and stdout. A closed stdout
-    exits 2, files kept.
+    ``config``), to ``<command>_report.json`` and stdout. A data error or a
+    grid too big to allocate (MemoryError) exits 2, a domain error 3, each
+    with one error JSON. A closed stdout exits 2, files kept.
     """
     parser = build_parser()
     try:
@@ -467,14 +466,15 @@ def main(argv=None) -> int:
         else:
             sections, tables = result
             artifacts = {key: _write_table(out, *t, args.format) for key, t in tables.items()}
-            config = {key: value for key, value in vars(args).items() if key != "func"}
+            config = {k: v for k, v in vars(args).items() if k not in ("func", "model")}
             report = {"schema_version": SCHEMA_VERSION, "command": args.command,
                       "config": config, **sections, "artifacts": artifacts}
             text = json.dumps(report, indent=2, sort_keys=True)
             _write_json(out / f"{args.command}_report.json", (text.encode("ascii"), b"\n"))
-    except (DataError, DomainError, OSError) as exc:
+    except (DataError, DomainError, OSError, MemoryError) as exc:
         code = EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_DATA
-        error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+        kind = next(c for c in type(exc).__mro__ if c.__name__[0] != "_")  # not _ArrayMemoryError
+        error = {"type": kind.__name__, "message": str(exc), "exit_code": code}
         text = json.dumps({"error": error}, indent=2, sort_keys=True)
     try:
         _print(text)

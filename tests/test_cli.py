@@ -11,7 +11,7 @@ import pytest
 
 import hypergrowth
 from hypergrowth import HyperbolicParams, synthesize, write_csv
-from hypergrowth.cli import main
+from hypergrowth.cli import MAX_GRID_POINTS, main
 
 from conftest import F_PARAMS, G_PARAMS
 
@@ -627,7 +627,7 @@ class TestParseTimeValidation:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == ""
-        assert json.loads(captured.out)["error"]["message"].endswith("points exceeds 1.15292e+18")
+        assert json.loads(captured.out)["error"]["message"].endswith("points exceeds 5.76461e+17")
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--year-col", "--value-col"])
@@ -756,10 +756,13 @@ class TestExtremeFlagValues:
 
 
 SYNTH_F = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "2000", "--step", "100"]
+# Each grid below asks for at least 3.4 EiB, more than any 64-bit address space
+# holds, so numpy's allocation fails without touching memory.
+ADDRESS_SPACE_64 = pytest.mark.skipif(np.iinfo(np.intp).bits != 64, reason="needs a 64-bit intp")
 # Ten points between two neighbouring floats: linspace repeats the years.
 REPEATING_GRID = ["--grid-from", "1000", "--grid-to", "1000.0000000000001", "--grid-points", "10"]
 
-# (case, argv, exit code, error type); {name} is replaced by that input file's path.
+# (case, argv, exit code, error type[, mark]); {name} is replaced by that input file's path.
 FAILURES = [
     ("parse", ["fit", "{bad}"], 2, "ParseError"),
     ("validation", ["downsample", "{f}", "--years", "0", "1234"], 2, "ValidationError"),
@@ -795,6 +798,10 @@ FAILURES = [
     ("diagnose_quotient_overflow", ["diagnose", "--gdp", "{hi}", "--pop", "{lo}", "--candidates"],
      2, "UnrepresentableError"),
     ("ratio_quotient_underflow", ["ratio", "{lo}", "{hi}"], 2, "UnrepresentableError"),
+    ("grid_unallocatable_fit", ["fit", "{f}", "--grid-points", str(MAX_GRID_POINTS)],
+     2, "MemoryError", ADDRESS_SPACE_64),
+    ("grid_unallocatable_synth", [*SYNTH_F, "--to", "5e17", "--step", "1"], 2, "MemoryError",
+     ADDRESS_SPACE_64),
 ]
 
 USAGE_ERRORS = [
@@ -866,8 +873,9 @@ class TestEveryFailurePath:
             code = main([arg.format(**inputs) for arg in argv])
         return code, capsys.readouterr()
 
-    @pytest.mark.parametrize("argv, exit_code, error_type", [case[1:] for case in FAILURES],
-                             ids=[case[0] for case in FAILURES])
+    @pytest.mark.parametrize("argv, exit_code, error_type",
+                             [pytest.param(*case[1:4], marks=case[4:], id=case[0])
+                              for case in FAILURES])
     def test_error_json_on_stdout(self, tmp_path, capsys, inputs, argv, exit_code, error_type):
         own_out_dir = "--out-dir" in argv
         if not own_out_dir:

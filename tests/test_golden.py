@@ -22,6 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,7 +160,7 @@ NAMES = st.text(st.characters(codec="utf-8") | st.sampled_from([",", '"', "é", 
 def tables(draw):
     n_cols = draw(st.integers(1, 4))
     n_rows = draw(st.integers(0, 50))
-    header = draw(st.lists(NAMES, min_size=n_cols, max_size=n_cols))
+    header = draw(st.lists(NAMES, min_size=n_cols, max_size=n_cols, unique=True))
     columns = [draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows)) for _ in header]
     return header, columns
 
@@ -173,6 +174,14 @@ def test_bulk_writers_match_per_cell_oracle(table):
         for fmt, oracle in (("csv", _oracle_csv), ("json", _oracle_json)):
             name = _write_table(out, "table", header, columns, fmt)
             assert (out / name).read_bytes() == oracle(header, columns)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("header", [["x", "y", "z"], ["x", "x"]], ids=["count", "repeat"])
+def test_header_names_each_column_once(tmp_path, fmt, header):
+    with pytest.raises(ValueError, match="does not name each of 2 columns once"):
+        _write_table(tmp_path, "table", header, [[1.0, 2.0], [3.0, 4.0]], fmt)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _regenerate() -> None:

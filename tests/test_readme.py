@@ -1,11 +1,13 @@
-"""The README's library tour runs as printed and gives its commented results."""
+"""The README's library tour and CLI block run as printed and give their commented results."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from hypergrowth import Monotonicity, Shape
+from hypergrowth.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +36,29 @@ def test_commented_result(tour, expression, holds, comment):
     line = next(line for line in block.splitlines() if line.startswith(expression))
     assert comment in line
     assert holds(eval(expression, namespace))
+
+
+def cli_lines() -> list[str]:
+    """The lines of the ``sh`` block under ``## CLI``, each ``\\``-continued line joined."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    return block.replace("\\\n", " ").splitlines()
+
+
+def test_cli_block(tmp_path, monkeypatch, capsys):
+    """Each command exits 0 and writes its --out and the files its comment names."""
+    monkeypatch.chdir(tmp_path)
+    commands, named = 0, []
+    for line in cli_lines():
+        if line.startswith("#"):
+            named += re.findall(r"\w+\.(?:csv|json)", line)
+        elif line.startswith("hypergrowth"):
+            argv = shlex.split(line)[1:]
+            assert main(argv) == 0, line
+            flags = dict(zip(argv, argv[1:]))
+            out_dir = Path(flags.get("--out-dir", "."))
+            expected = [out_dir / name for name in named] + [Path(flags.get("--out", "."))]
+            assert [path for path in expected if not path.exists()] == [], line
+            commands, named = commands + 1, []
+    capsys.readouterr()
+    assert commands == 7
