@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .diagnostics import (
     monotonicity_check,
     series_growth_rate,
     takeoff_scan,
+    _model_curve,
 )
 from .errors import DataError, DomainError, ValidationError
 from .fitting import WEIGHTINGS, HyperbolicFit, fit_hyperbolic, fit_ratio, predict
@@ -59,7 +61,11 @@ SERIES_FILES = {"synth": "synthetic.csv", "downsample": "downsampled.csv"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with code 1 on usage errors."""
+    """ArgumentParser that exits with code 1 on usage errors and reads ``-1e3`` as a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # Python 3.13's rule, on any version
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -183,7 +189,7 @@ def cmd_ratio(args) -> tuple[dict, dict]:
     rfit, _, fits, start = _fit_pair(args, args.numerator, args.denominator)
     model = rfit.model
     grid = _resolve_grid(args, start, model.f, model.g)
-    curve = DiagnosticsCurve("time", "value", grid, eval_ratio(model, grid))
+    curve = _model_curve(model, "time", "value", grid, eval_ratio(model, grid))
     residuals = rfit.residuals
     max_abs = np.max(np.abs(residuals), initial=0.0)
     top = np.frexp(max_abs)[1]  # each r / 2**top is below 1 in size, so its square is finite

@@ -105,45 +105,44 @@ class TakeoffScanEntry:
     error: str | None = None
 
 
-def _time_curve(m: RatioModel, quantity: str, evaluate, grid) -> DiagnosticsCurve:
-    """``evaluate(m, grid)`` as a time curve, refused where it underflows.
+def _model_curve(m: RatioModel, abscissa_kind: str, quantity: str, x, values) -> DiagnosticsCurve:
+    """A curve evaluated from ``m``, refused where a value leaves float64's normal range.
 
-    Both quantities are C over a product of two nonzero lines, so with C != 0
-    a value below the smallest normal float has lost digits to underflow, and
-    a curve of such values can contradict the sign of C.
+    With C != 0 the value, gradient and growth rate are never 0 on the domain, so
+    a value below the smallest normal float is an underflow that can hide C's sign.
     """
-    curve = DiagnosticsCurve("time", quantity, grid, evaluate(m, grid))
+    curve = DiagnosticsCurve(abscissa_kind, quantity, x, values)
     small = ~_in_normal_range(curve.values)
     if m.modulation_constant != 0.0 and small.any():
         i = int(np.argmax(small))
         raise ValidationError(
-            f"ratio {quantity} {curve.values[i]:g} at year {curve.x[i]:g} underflows "
-            f"float64 (smallest normal {np.finfo(float).tiny:g})"
+            f"ratio {quantity} {curve.values[i]:g} at {ABSCISSA_NAMES[abscissa_kind]} "
+            f"{curve.x[i]:g} underflows float64 (smallest normal {np.finfo(float).tiny:g})"
         )
     return curve
 
 
 def gradient_curve(m: RatioModel, grid) -> DiagnosticsCurve:
     """Sample the ratio's gradient over a strictly increasing time grid."""
-    return _time_curve(m, "gradient", ratio_gradient, grid)
+    return _model_curve(m, "time", "gradient", grid, ratio_gradient(m, grid))
 
 
 def growth_rate_curve(m: RatioModel, grid) -> DiagnosticsCurve:
     """Sample the ratio's growth rate over a strictly increasing time grid."""
-    return _time_curve(m, "growth_rate", ratio_growth_rate, grid)
+    return _model_curve(m, "time", "growth_rate", grid, ratio_growth_rate(m, grid))
 
 
 def curves_vs_size(m: RatioModel, levels) -> tuple[DiagnosticsCurve, DiagnosticsCurve]:
     """Gradient and growth-rate curves parametrized by ratio size.
 
-    Each level is mapped to its crossing time, where both quantities are
-    sampled; output is sorted by level. Unattainable or repeated levels raise.
+    Each level maps to its crossing time, where both quantities are sampled and
+    checked as time curves are; sorted by level. Unattainable or repeated levels raise.
     """
     levels = np.sort(np.asarray(levels, dtype=float))
     times = np.array([time_at_ratio(m, level) for level in levels])
     return (
-        DiagnosticsCurve("ratio_size", "gradient", levels, ratio_gradient(m, times)),
-        DiagnosticsCurve("ratio_size", "growth_rate", levels, ratio_growth_rate(m, times)),
+        _model_curve(m, "ratio_size", "gradient", levels, ratio_gradient(m, times)),
+        _model_curve(m, "ratio_size", "growth_rate", levels, ratio_growth_rate(m, times)),
     )
 
 

@@ -142,25 +142,25 @@ def time_at_ratio(m: RatioModel, level: float) -> float:
     Solves (a_g - k_g*t) = level * (a_f - k_f*t) in closed form. The ratio
     tends to k_g/k_f in the distant past, so that level is an asymptote with
     no crossing; levels whose algebraic root falls at or beyond the earliest
-    singularity are likewise rejected rather than reported.
+    singularity, or is not finite, are likewise rejected rather than reported.
     """
     level = float(level)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite root is past the domain
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite root is refused below
         denom = level * m.f.k - m.g.k
         if denom == 0.0:
             raise NoSolutionError(
                 f"level {level:g} equals the asymptotic ratio k_g/k_f and is never attained"
             )
         t = (level * m.f.a - m.g.a) / denom
-    if np.isnan(t):  # inf/inf: the root lies within rounding of the numerator's singularity
-        raise NoSolutionError(
-            f"level {level:g} has no representable crossing time before the ratio "
-            f"domain end (earliest singularity at t_s={m.domain_end:.6g})"
-        )
     if past_domain(m, t):
         raise NoSolutionError(
             f"level {level:g} is only attained at t={t:.6g}, at or beyond the "
             f"ratio domain (earliest singularity at t_s={m.domain_end:.6g})"
+        )
+    if not np.isfinite(t):  # NaN from inf/inf, or -inf: no float64 crossing time
+        raise NoSolutionError(
+            f"level {level:g} has no representable crossing time before the ratio "
+            f"domain end (earliest singularity at t_s={m.domain_end:.6g})"
         )
     return t
 

@@ -11,7 +11,7 @@ import pytest
 
 import hypergrowth
 from hypergrowth import HyperbolicParams, synthesize, write_csv
-from hypergrowth.cli import MAX_GRID_POINTS, main
+from hypergrowth.cli import MAX_GRID_POINTS, build_parser, main
 
 from conftest import F_PARAMS, G_PARAMS
 
@@ -638,6 +638,22 @@ class TestParseTimeValidation:
                 flag, "\udcff", "--out", str(tmp_path / "out" / "s.csv")]
         self.assert_rejected(tmp_path, capsys, argv, flag)
 
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["fit", "f.csv", "--window", "-1e3", "2000"], "window", [-1000.0, 2000.0]),
+        (["synth", "--a", "1", "--k", "1e-3", "--from", "-1e3", "--to", "0"], "start", -1000.0),
+        (["diagnose", *F_G_PARAMS, "--candidates", "-1e3", "-.5E3"], "candidates",
+         [-1000.0, -500.0]),
+        (["downsample", "f.csv", "--years", "-1e3", "-1e+2"], "years", [-1000.0, -100.0]),
+        (["fit", "f.csv", "--grid-from", "-1e200"], "grid_from", -1e200),
+    ], ids=["window", "synth_from", "candidates", "years", "grid_from"])
+    def test_negative_scientific_value_is_a_number(self, argv, dest, value):
+        # Before Python 3.13, argparse reads "-1e3" as an option, not a number.
+        assert getattr(build_parser().parse_args(argv), dest) == value
+
+    def test_negative_infinity_still_refused(self, tmp_path, capsys):
+        assert main(["diagnose", *F_G_PARAMS, "--grid-from=-inf", "--out-dir", str(tmp_path)]) == 1
+        assert "argument --grid-from: must be finite, got -inf" in capsys.readouterr().err
+
     def test_non_numeric_grid_points_named(self, capsys):
         assert main(["diagnose", *F_G_PARAMS, "--grid-points", "x"]) == 1
         assert "argument --grid-points: invalid int value: 'x'" in capsys.readouterr().err
@@ -762,6 +778,9 @@ ADDRESS_SPACE_64 = pytest.mark.skipif(np.iinfo(np.intp).bits != 64, reason="need
 # Ten points between two neighbouring floats: linspace repeats the years.
 REPEATING_GRID = ["--grid-from", "1000", "--grid-to", "1000.0000000000001", "--grid-points", "10"]
 
+# A model whose C = 5e-301 makes its curves about 1e-310 at ratio sizes near 0.5.
+TINY_K_PARAMS = ["--f-a", "1", "--f-k", "1e-300", "--g-a", "1", "--g-k", "5e-301", "--candidates"]
+
 # (case, argv, exit code, error type[, mark]); {name} is replaced by that input file's path.
 FAILURES = [
     ("parse", ["fit", "{bad}"], 2, "ParseError"),
@@ -790,14 +809,22 @@ FAILURES = [
     ("fitted_curve_overflow", ["fit", "{huge_f}"], 2, "ValidationError"),
     ("gradient_overflow", ["diagnose", "--f-a", "1e-300", "--f-k", "1e-303", "--g-a", "1e10",
                            "--g-k", "5e6", "--candidates"], 2, "ValidationError"),
-    # -1e308 spelled as an integer, so argparse reads it as a number, not a flag.
-    ("levels_span_float64", ["diagnose", *F_G_PARAMS, "--levels", "-1" + "0" * 308, "1e308"],
+    ("levels_span_float64", ["diagnose", *F_G_PARAMS, "--levels", "-1e308", "1e308"],
      3, "NoSolutionError"),
     # Both series and C fit, but their quotient, about 1e600 or 1e-600, does not.
     ("ratio_quotient_overflow", ["ratio", "{hi}", "{lo}"], 2, "UnrepresentableError"),
     ("diagnose_quotient_overflow", ["diagnose", "--gdp", "{hi}", "--pop", "{lo}", "--candidates"],
      2, "UnrepresentableError"),
     ("ratio_quotient_underflow", ["ratio", "{lo}", "{hi}"], 2, "UnrepresentableError"),
+    # A non-constant model's value, gradient and growth rate are never 0: the
+    # curve is refused where one falls below float64's normal range.
+    ("ratio_value_underflow", ["ratio", "{f_65}", "{g_tiny}", "--grid-points", "6"],
+     2, "ValidationError"),
+    ("level_gradient_underflow", ["diagnose", *TINY_K_PARAMS, "--levels", "0.50001"],
+     2, "ValidationError"),
+    # Next to the asymptote k_g/k_f = 0.5 the root overflows to -inf.
+    ("level_root_overflow", ["diagnose", *TINY_K_PARAMS, "--levels", "0.5000000000000001"],
+     3, "NoSolutionError"),
     ("grid_unallocatable_fit", ["fit", "{f}", "--grid-points", str(MAX_GRID_POINTS)],
      2, "MemoryError", ADDRESS_SPACE_64),
     ("grid_unallocatable_synth", [*SYNTH_F, "--to", "5e17", "--step", "1"], 2, "MemoryError",
@@ -848,6 +875,10 @@ class TestEveryFailurePath:
             "huge_g": tmp_path / "huge_g.csv",
             "hi": tmp_path / "hi.csv",
             "lo": tmp_path / "lo.csv",
+            "f_65": synth_file(tmp_path, "f_65.csv", F_PARAMS, stop=1950.0, step=65.0),
+            # t_s = 2000, before f's 2045; values near 1e300 put R = f/g near 1e-301 and below
+            "g_tiny": synth_file(tmp_path, "g_tiny.csv", HyperbolicParams(7e-301, 3.5e-304),
+                                 stop=1950.0, step=65.0),
         }
         files["bad"].write_text("year,value\n1,1\n2,oops\n")
         files["two_points"].write_text("year,value\n1,1\n2,2\n")
@@ -891,6 +922,16 @@ class TestEveryFailurePath:
         assert payload["error"]["exit_code"] == exit_code
         if not own_out_dir:  # every check runs before any file is written
             assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("case, message", [
+        ("ratio_value_underflow", "ratio value 0 at year 2000 underflows float64"),
+        ("level_gradient_underflow", "ratio gradient 2e-310 at ratio_size 0.50001 underflows"),
+        ("level_root_overflow", "level 0.5 has no representable crossing time"),
+    ])
+    def test_model_curve_refusal_names_its_value(self, tmp_path, capsys, inputs, case, message):
+        argv = {c[0]: c[1] for c in FAILURES}[case]
+        _, captured = self.run_strict(capsys, [*argv, "--out-dir", str(tmp_path)], inputs)
+        assert json.loads(captured.out)["error"]["message"].startswith(message)
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv))
     def test_usage_error_writes_nothing(self, tmp_path, capsys, monkeypatch, inputs, argv):

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
@@ -13,6 +13,8 @@ from hypergrowth import (
     BreakDecision,
     DiagnosticsCurve,
     DomainError,
+    HyperbolicParams,
+    HypergrowthError,
     InsufficientDataError,
     Monotonicity,
     NoSolutionError,
@@ -32,6 +34,7 @@ from hypergrowth import (
     time_at_ratio,
 )
 
+from hypergrowth.core import last_guarded_time
 from hypergrowth.diagnostics import f_survival
 
 from conftest import F_PARAMS
@@ -147,6 +150,49 @@ class TestCurvesVsSize:
     def test_duplicate_levels_rejected(self, escalating_model):
         with pytest.raises(ValidationError, match="duplicate ratio_size 2$"):
             curves_vs_size(escalating_model, [2.0, 2.0])
+
+    def test_underflow_names_the_ratio_size(self):
+        # C = 5e-301 over lines near 1: the gradient at this level is subnormal.
+        m = make_ratio(HyperbolicParams(1.0, 1e-300), HyperbolicParams(1.0, 5e-301))
+        with pytest.raises(ValidationError, match="^ratio gradient 2e-310 at ratio_size 0.50001 "):
+            curves_vs_size(m, [0.50001])
+
+
+def extreme_params():
+    """(a, k) pairs with each anywhere from 1e-300 to 1e300."""
+    exponent = st.floats(-300.0, 300.0)
+    return st.builds(lambda ea, ek: (10.0 ** ea, 10.0 ** ek), exponent, exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=extreme_params(), g=extreme_params(), far=st.floats(0.0, 308.0),
+       multiples=st.lists(st.sampled_from([0.5, 0.9, 1.1, 2.0, 1e3]), max_size=3, unique=True))
+def test_model_curves_are_normal_or_refused(f, g, far, multiples):
+    # Every curve of a ratio model, on a grid reaching far into the past or at
+    # levels next to the asymptote k_g/k_f, either raises or, when C != 0,
+    # holds only values in float64's normal range.
+    try:
+        m = make_ratio(HyperbolicParams(*f), HyperbolicParams(*g))
+    except ValueError:  # a/k, or a term of C, outside float64's normal range
+        assume(False)
+    end = min(last_guarded_time(m.f), last_guarded_time(m.g))
+    assume(math.isfinite(end + 10.0 ** far))
+    grid = np.linspace(-(10.0 ** far), end, 8)
+    asymptote = m.g.k / m.f.k
+    levels = [math.nextafter(asymptote, -math.inf), math.nextafter(asymptote, math.inf),
+              *(asymptote * c for c in multiples)]
+    calls = [(gradient_curve, grid), (growth_rate_curve, grid)]
+    calls += [(curves_vs_size, [level]) for level in levels]  # one side's level is unattainable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build, x in calls:
+            try:
+                curves = build(m, x)
+            except HypergrowthError:
+                continue
+            for curve in curves if isinstance(curves, tuple) else [curves]:
+                normal = np.abs(curve.values) >= np.finfo(float).tiny
+                assert m.modulation_constant == 0.0 or normal.all(), curve
 
 
 class TestMonotonicityCheck:

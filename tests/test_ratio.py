@@ -166,6 +166,12 @@ class TestTimeAtRatio:
         with pytest.raises(NoSolutionError):
             time_at_ratio(escalating_model, G_PARAMS.k / F_PARAMS.k)
 
+    def test_root_that_overflows_is_refused(self):
+        # Next to the asymptote, level*k_f - k_g is subnormal and the root is -inf.
+        m = make_ratio(HyperbolicParams(1.0, 1e-300), HyperbolicParams(1.0, 5e-301))
+        with pytest.raises(NoSolutionError, match="has no representable crossing time"):
+            time_at_ratio(m, np.nextafter(m.g.k / m.f.k, 1))
+
     def test_constant_model_has_no_crossings(self, f_params):
         m = make_ratio(f_params, f_params)
         with pytest.raises(NoSolutionError):
