@@ -42,7 +42,7 @@ from .errors import DataError, DomainError, ValidationError
 from .fitting import WEIGHTINGS, HyperbolicFit, fit_hyperbolic, fit_ratio, predict
 from .ingest import json_table, parse_csv, synthesize, write_columns, write_csv
 from .ratio import RatioModel, classify_shape, eval_ratio, make_ratio
-from .series import TimeSeries
+from .series import TimeSeries, _exact
 
 SCHEMA_VERSION = 1
 
@@ -61,11 +61,12 @@ SERIES_FILES = {"synth": "synthetic.csv", "downsample": "downsampled.csv"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with code 1 on usage errors and reads ``-1e3`` as a number."""
+    """ArgumentParser that exits 1 on usage errors and reads ``-1e3`` and ``-inf`` as numbers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")  # Python 3.13's rule, on any version
+        # Python 3.13's rule, on any version, plus -inf and -nan: a type then refuses them by name
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(?:inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -77,15 +78,18 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_grid(args, default_start: float, *models: HyperbolicParams) -> np.ndarray:
-    """The curve grid; it ends by default inside the guard of the earliest singularity."""
+def _resolve_grid(args, series, *models: HyperbolicParams) -> np.ndarray:
+    """The curve grid: by default from the earliest first year of the fitted ``series``
+    (0.0 when there are none) to inside the guard of the earliest singularity of ``models``."""
+    default_start = min((float(s.years[0]) for s in series), default=0.0)
     start = args.grid_from if args.grid_from is not None else default_start
     end = args.grid_to if args.grid_to is not None else min(map(last_guarded_time, models))
     if not math.isfinite(end - start):
-        raise ValidationError(f"grid span from {start:g} to {end:g} overflows float64")
+        raise ValidationError(f"grid span from {_exact(start)} to {_exact(end)} overflows float64")
     grid = np.linspace(start, end, args.grid_points)
     if not (grid[1:] > grid[:-1]).all():  # an empty span, or one too narrow for its points
-        raise ValidationError(f"{grid.size} grid points from {start:g} to {end:g} do not increase")
+        raise ValidationError(
+            f"{grid.size} grid points from {_exact(start)} to {_exact(end)} do not increase")
     return grid
 
 
@@ -145,7 +149,7 @@ def _print(text: str) -> None:
 
 def _load_series(path: str, args) -> TimeSeries:
     series = parse_csv(path, year_col=args.year_col, value_col=args.value_col)
-    if args.window:
+    if getattr(args, "window", None):  # downsample has no --window
         series = series.restrict(*args.window)
     return series
 
@@ -153,8 +157,7 @@ def _load_series(path: str, args) -> TimeSeries:
 def _fit_pair(args, numerator_path: str, denominator_path: str):
     """Load and fit a numerator/denominator pair.
 
-    Returns the ratio fit, both series, the report's ``fits`` section and the
-    earliest year of either series, which is the default grid start.
+    Returns the ratio fit, both series and the report's ``fits`` section.
     """
     pair = [_load_series(numerator_path, args), _load_series(denominator_path, args)]
     rfit = fit_ratio(*pair, weighting=args.weighting)
@@ -162,7 +165,7 @@ def _fit_pair(args, numerator_path: str, denominator_path: str):
         "numerator": _fit_summary(rfit.numerator_fit),
         "denominator": _fit_summary(rfit.denominator_fit),
     }
-    return rfit, pair, fits, min(float(series.years[0]) for series in pair)
+    return rfit, pair, fits
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +176,7 @@ def _fit_pair(args, numerator_path: str, denominator_path: str):
 def cmd_fit(args) -> tuple[dict, dict]:
     series = _load_series(args.input, args)
     fit = fit_hyperbolic(series, weighting=args.weighting)
-    grid = _resolve_grid(args, float(series.years[0]), fit.params)
+    grid = _resolve_grid(args, [series], fit.params)
     curve = predict(fit, grid, name=f"{series.name} fitted")
     return {
         "series": {
@@ -186,9 +189,9 @@ def cmd_fit(args) -> tuple[dict, dict]:
 
 
 def cmd_ratio(args) -> tuple[dict, dict]:
-    rfit, _, fits, start = _fit_pair(args, args.numerator, args.denominator)
+    rfit, pair, fits = _fit_pair(args, args.numerator, args.denominator)
     model = rfit.model
-    grid = _resolve_grid(args, start, model.f, model.g)
+    grid = _resolve_grid(args, pair, model.f, model.g)
     curve = _model_curve(model, "time", "value", grid, eval_ratio(model, grid))
     residuals = rfit.residuals
     max_abs = np.max(np.abs(residuals), initial=0.0)
@@ -212,14 +215,13 @@ def cmd_ratio(args) -> tuple[dict, dict]:
 
 
 def cmd_diagnose(args) -> tuple[dict, dict]:
-    model, rfit, break_targets, fits, default_start = args.model, None, [], {}, 0.0
+    model, rfit, pair, fits = args.model, None, [], {}
     if args.gdp is not None:
-        rfit, break_targets, fits, default_start = _fit_pair(args, args.gdp, args.pop)
+        rfit, pair, fits = _fit_pair(args, args.gdp, args.pop)
         model = rfit.model
-    if args.series is not None:
-        break_targets.append(_load_series(args.series, args))
+    break_targets = pair + ([] if args.series is None else [_load_series(args.series, args)])
 
-    grid = _resolve_grid(args, default_start, model.f, model.g)
+    grid = _resolve_grid(args, pair, model.f, model.g)
     grad = gradient_curve(model, grid)
     rate = growth_rate_curve(model, grid)
     curves = {"gradient_curve": grad, "growth_rate_curve": rate}
@@ -264,16 +266,15 @@ def cmd_synth(args) -> TimeSeries:
     if not n <= MAX_GRID_POINTS:
         raise ValidationError(f"grid of {n:g} points exceeds {MAX_GRID_POINTS:g}")
     grid = args.start + args.step * np.arange(int(n))
-    return synthesize(args.model, grid, noise_sigma=args.noise, seed=args.seed, name="synthetic")
+    return synthesize(args.model, grid, noise_sigma=args.noise, seed=args.seed)
 
 
 def cmd_downsample(args) -> TimeSeries:
-    series = parse_csv(args.input, year_col=args.year_col, value_col=args.value_col)
+    series = _load_series(args.input, args)
     missing = sorted(set(args.years) - set(series.years.tolist()))
     if missing:
         raise ValidationError(
-            f"requested years not present in {series.name!r}: "
-            + ", ".join(f"{y:g}" for y in missing)
+            f"requested years not present in {series.name!r}: {', '.join(map(_exact, missing))}"
         )
     mask = np.isin(series.years, args.years)
     return TimeSeries(years=series.years[mask], values=series.values[mask], name=series.name)
@@ -370,13 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-a", type=_POSITIVE, default=None, help="denominator intercept")
     p.add_argument("--g-k", type=_POSITIVE, default=None, help="denominator slope")
     p.add_argument("--series", default=None, help="extra CSV to scan for structural breaks")
-    p.add_argument(
-        "--candidates",
-        nargs="*",
-        type=_FINITE,
-        default=None,
-        help="candidate break years (default: 1750 1870; pass no values to skip)",
-    )
+    years = " ".join(map("{:g}".format, DEFAULT_BREAK_CANDIDATES))
+    p.add_argument("--candidates", nargs="*", type=_FINITE, default=None,
+                   help=f"candidate break years (default: {years}; pass no values to skip)")
     p.add_argument("--alpha", type=_ALPHA, default=0.05, help="break-test significance")
     p.add_argument(
         "--levels",
@@ -429,9 +426,9 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
         else:
             models = [("--f-a/--f-k", "f_a", "f_k"), ("--g-a/--g-k", "g_a", "g_k")]
     if args.command == "synth" and args.stop < args.start:
-        parser.error(f"--to {args.stop:g} is before --from {args.start:g}")
+        parser.error(f"--to {_exact(args.stop)} is before --from {_exact(args.start)}")
     if getattr(args, "window", None) and args.window[1] < args.window[0]:
-        parser.error(f"--window HI {args.window[1]:g} is below LO {args.window[0]:g}")
+        parser.error(f"--window HI {_exact(args.window[1])} is below LO {_exact(args.window[0])}")
     if args.year_col == args.value_col:
         parser.error(f"--year-col and --value-col are both {args.year_col!r}")
     built = []

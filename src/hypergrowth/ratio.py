@@ -28,7 +28,7 @@ import numpy as np
 from .core import eval_hyperbolic  # noqa: F401  (bench/tracing.py wraps this attribute)
 from .core import HyperbolicParams, past_guard, reciprocal_value
 from .errors import DomainError, NoSolutionError
-from .series import _in_normal_range
+from .series import _exact, _in_normal_range
 
 # Each pathway's formula of the two reciprocal lines.
 _FORMULAS = {
@@ -149,17 +149,17 @@ def time_at_ratio(m: RatioModel, level: float) -> float:
         denom = level * m.f.k - m.g.k
         if denom == 0.0:
             raise NoSolutionError(
-                f"level {level:g} equals the asymptotic ratio k_g/k_f and is never attained"
+                f"level {_exact(level)} equals the asymptotic ratio k_g/k_f and is never attained"
             )
         t = (level * m.f.a - m.g.a) / denom
     if past_domain(m, t):
         raise NoSolutionError(
-            f"level {level:g} is only attained at t={t:.6g}, at or beyond the "
+            f"level {_exact(level)} is only attained at t={t:.6g}, at or beyond the "
             f"ratio domain (earliest singularity at t_s={m.domain_end:.6g})"
         )
     if not np.isfinite(t):  # NaN from inf/inf, or -inf: no float64 crossing time
         raise NoSolutionError(
-            f"level {level:g} has no representable crossing time before the ratio "
+            f"level {_exact(level)} has no representable crossing time before the ratio "
             f"domain end (earliest singularity at t_s={m.domain_end:.6g})"
         )
     return t

@@ -50,6 +50,11 @@ def _first_fault(
     return None
 
 
+def _exact(x: float) -> str:
+    """``x`` as ``:g`` prints it when that reads back as ``x``, else with ``repr``'s digits."""
+    return format(x, "g") if float(format(x, "g")) == x else repr(float(x))
+
+
 def _in_normal_range(x):
     """True elementwise where |x| is finite and at least float64's smallest normal: not 0, NaN."""
     mag = np.abs(x)

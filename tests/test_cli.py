@@ -562,6 +562,7 @@ class TestParseTimeValidation:
         assert captured.err.startswith("usage:")
         assert f"argument {flag}: must be" in captured.err
         assert not out_dir.exists()
+        return captured.err
 
     @pytest.mark.parametrize("points", ["-5", "0"])
     def test_fit_grid_below_two(self, tmp_path, capsys, points):
@@ -649,6 +650,28 @@ class TestParseTimeValidation:
     def test_negative_scientific_value_is_a_number(self, argv, dest, value):
         # Before Python 3.13, argparse reads "-1e3" as an option, not a number.
         assert getattr(build_parser().parse_args(argv), dest) == value
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["diagnose", *F_G_PARAMS, "--grid-from", "-inf"], "--grid-from", "-inf"),
+        (["diagnose", *F_G_PARAMS, "--grid-to", "-NaN"], "--grid-to", "-NaN"),
+        (["fit", "f.csv", "--grid-from", "-Infinity"], "--grid-from", "-Infinity"),
+        (["diagnose", *F_G_PARAMS, "--levels", "2", "-inf"], "--levels", "-inf"),
+        (["diagnose", *F_G_PARAMS, "--candidates", "-1e3", "-nan"], "--candidates", "-nan"),
+        (["fit", "f.csv", "--window", "-inf", "0"], "--window", "-inf"),
+        (["synth", "--a", "1", "--k", "1e-3", "--from", "-nan", "--to", "0"], "--from", "-nan"),
+    ], ids=["grid_from", "grid_to", "grid_from_word", "levels", "candidates", "window",
+            "synth_from"])
+    def test_negative_non_finite_without_equals(self, tmp_path, capsys, argv, flag, value):
+        # "-inf" and "-nan" read as values, so the flag's own rule names them; argparse alone
+        # reads them as options ("expected one argument", "unrecognized arguments").
+        err = self.assert_rejected(tmp_path, capsys, argv, flag)
+        assert f"argument {flag}: must be finite, got {value}\n" in err
+
+    def test_help_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hypergrowth")
 
     def test_negative_infinity_still_refused(self, tmp_path, capsys):
         assert main(["diagnose", *F_G_PARAMS, "--grid-from=-inf", "--out-dir", str(tmp_path)]) == 1
@@ -853,6 +876,69 @@ USAGE_ERRORS = [
 ]
 
 
+class TestDefaultGridStart:
+    """Without --grid-from a curve grid starts at the earliest first year of the fitted series.
+
+    A command that fits no series starts at 0; an extra break-test series never moves it.
+    """
+
+    @staticmethod
+    def first_year(path):
+        return float(path.read_text().splitlines()[1].split(",")[0])
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return {
+            "f": synth_file(tmp_path, "f.csv", F_PARAMS, start=200.0),
+            "g": synth_file(tmp_path, "g.csv", G_PARAMS, start=100.0),
+            "s": synth_file(tmp_path, "s.csv", F_PARAMS, start=-500.0),
+        }
+
+    @pytest.mark.parametrize("argv, curve, start", [
+        (["fit", "{f}"], "fitted_curve", 200.0),
+        (["ratio", "{f}", "{g}"], "ratio_curve", 100.0),
+        (["diagnose", "--gdp", "{f}", "--pop", "{g}", "--series", "{s}"], "gradient_curve", 100.0),
+        (["diagnose", *F_G_PARAMS], "gradient_curve", 0.0),
+    ], ids=["fit", "ratio", "diagnose_pair", "diagnose_params"])
+    def test_grid_starts_at_fitted_series(self, tmp_path, capsys, files, argv, curve, start):
+        out = tmp_path / "out"
+        argv = [a.format(**{k: str(v) for k, v in files.items()}) for a in argv]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        assert self.first_year(out / f"{curve}.csv") == start
+
+
+class TestRefusalEchoesGivenNumber:
+    """A refusal prints a number the user gave with the digits that tell it apart."""
+
+    def test_missing_year_next_to_a_present_one(self, tmp_path, capsys):
+        data = synth_file(tmp_path, "f.csv", F_PARAMS)  # holds 1300
+        capsys.readouterr()
+        code, out = run_cli(capsys, "downsample", str(data), "--years", "1300", "1300.0000001",
+                            "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(out)["error"]["message"].endswith(": 1300.0000001")
+
+    def test_grid_bounds_one_float_apart(self, tmp_path, capsys):
+        argv = ["diagnose", *F_G_PARAMS, "--grid-from", "1000", "--grid-to", "1000.0000000000002",
+                "--grid-points", "10", "--out-dir", str(tmp_path / "out")]
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            "10 grid points from 1000 to 1000.0000000000002 do not increase"
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--a", "1", "--k", "1e-3", "--from", "100.0000001", "--to", "100"],
+         "--to 100 is before --from 100.0000001"),
+        (["fit", "f.csv", "--window", "1000.0000001", "1000"],
+         "--window HI 1000 is below LO 1000.0000001"),
+    ], ids=["synth_to_from", "window"])
+    def test_usage_error_names_exact_bound(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestEveryFailurePath:
     """Each failure exits with its documented code; stderr stays empty on data and domain errors.
 
@@ -926,7 +1012,7 @@ class TestEveryFailurePath:
     @pytest.mark.parametrize("case, message", [
         ("ratio_value_underflow", "ratio value 0 at year 2000 underflows float64"),
         ("level_gradient_underflow", "ratio gradient 2e-310 at ratio_size 0.50001 underflows"),
-        ("level_root_overflow", "level 0.5 has no representable crossing time"),
+        ("level_root_overflow", "level 0.5000000000000001 has no representable crossing time"),
     ])
     def test_model_curve_refusal_names_its_value(self, tmp_path, capsys, inputs, case, message):
         argv = {c[0]: c[1] for c in FAILURES}[case]

@@ -24,7 +24,7 @@ from hypergrowth import (
     write_csv,
 )
 from hypergrowth.ingest import json_table
-from hypergrowth.series import _in_normal_range
+from hypergrowth.series import _exact, _in_normal_range
 
 from conftest import F_PARAMS
 
@@ -332,6 +332,17 @@ class TestNormalRange:
         out = _in_normal_range(np.array(xs, dtype=float))
         assert out.dtype == bool
         assert out.tolist() == list(expected)
+
+
+@pytest.mark.parametrize("x, text", [
+    (1.0, "1"), (-0.0, "-0"), (1e300, "1e+300"), (1300.0, "1300"), (1300.0000001, "1300.0000001"),
+    (0.5000000000000001, "0.5000000000000001"), (np.float64(0.1) + np.float64(0.2),
+    "0.30000000000000004"), (-np.inf, "-inf"), (np.nan, "nan"),
+])
+def test_exact_number_text(x, text):
+    """A refused number reads as ``:g`` prints it unless that drops digits that tell it apart."""
+    assert _exact(x) == text
+    assert float(text) == x or np.isnan(x)
 
 
 def _reference_parse(fh, year_col, value_col, name):
