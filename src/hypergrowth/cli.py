@@ -194,16 +194,15 @@ def cmd_ratio(args) -> tuple[dict, dict]:
     grid = _resolve_grid(args, pair, model.f, model.g)
     curve = _model_curve(model, "time", "value", grid, eval_ratio(model, grid))
     residuals = rfit.residuals
-    max_abs = np.max(np.abs(residuals), initial=0.0)
+    max_abs = np.max(np.abs(residuals))
     top = np.frexp(max_abs)[1]  # each r / 2**top is below 1 in size, so its square is finite
     sections = {
         "fits": fits,
         "ratio": _model_summary(model),
         "residuals": {
             "n_common_years": int(rfit.common_years.size),
-            "rmse": float(np.ldexp(np.sqrt(np.mean(np.ldexp(residuals, -top) ** 2)), top))
-            if residuals.size else None,
-            "max_abs": float(max_abs) if residuals.size else None,
+            "rmse": float(np.ldexp(np.sqrt(np.mean(np.ldexp(residuals, -top) ** 2)), top)),
+            "max_abs": float(max_abs),
         },
     }
     header = ["year", "observed", "model", "residual"]
@@ -319,16 +318,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--value-col", type=_column, default="value", help="CSV value column name")
 
 
-def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-from", type=_FINITE, default=None, help="curve grid start year")
-    p.add_argument("--grid-to", type=_FINITE, default=None, help="curve grid end year")
-    p.add_argument(
-        "--grid-points", type=_GRID_POINTS, default=DEFAULT_GRID_POINTS, help="curve grid size"
-    )
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="curve artifact format")
-
-
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+def _add_analysis(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that fit or model and write curves: fit, ratio, diagnose."""
+    _add_common(p)
     p.add_argument("--weighting", choices=WEIGHTINGS, default="unweighted")
     p.add_argument(
         "--window",
@@ -338,6 +330,12 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="restrict the fit to years in [LO, HI]",
     )
+    p.add_argument("--grid-from", type=_FINITE, default=None, help="curve grid start year")
+    p.add_argument("--grid-to", type=_FINITE, default=None, help="curve grid end year")
+    p.add_argument(
+        "--grid-points", type=_GRID_POINTS, default=DEFAULT_GRID_POINTS, help="curve grid size"
+    )
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="curve artifact format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,17 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one series and emit the fitted curve")
     p.add_argument("input", help="input CSV file")
-    _add_common(p)
-    _add_fit_flags(p)
-    _add_grid(p)
+    _add_analysis(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("ratio", help="fit numerator/denominator series and their ratio")
     p.add_argument("numerator", help="numerator CSV (e.g. GDP)")
     p.add_argument("denominator", help="denominator CSV (e.g. population)")
-    _add_common(p)
-    _add_fit_flags(p)
-    _add_grid(p)
+    _add_analysis(p)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("diagnose", help="gradient/growth-rate curves and break tests")
@@ -382,9 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ratio sizes for vs-size curves",
     )
-    _add_common(p)
-    _add_fit_flags(p)
-    _add_grid(p)
+    _add_analysis(p)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("synth", help="generate a synthetic hyperbolic series")

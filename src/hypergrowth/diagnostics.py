@@ -34,12 +34,6 @@ DEFAULT_BREAK_CANDIDATES = (1750.0, 1870.0)
 #: Conventional dating of the Industrial Revolution, annotated on reports.
 INDUSTRIAL_REVOLUTION_WINDOW = (1760.0, 1840.0)
 
-# An adjacent step only counts as strict if it exceeds this fraction of the
-# larger of the two values compared. Pairwise scaling keeps the check strict
-# up to float noise even on curves spanning many decades (e.g. a gradient
-# sampled all the way to the singularity guard).
-MONOTONICITY_TOLERANCE = 1e-12
-
 
 class Monotonicity(str, enum.Enum):
     INCREASING = "monotone_increasing"
@@ -149,18 +143,16 @@ def curves_vs_size(m: RatioModel, levels) -> tuple[DiagnosticsCurve, Diagnostics
 def monotonicity_check(curve: DiagnosticsCurve) -> MonotonicityResult:
     """Strict monotonicity verdict with the earliest violating index.
 
-    The first step sets the direction. Every step must move that way by more
-    than the float-noise tolerance relative to the values compared; the index
-    reported is the right-hand point of the first step that does not, 1 when
-    the first step is a tie.
+    The first step sets the direction, and every computed step must move that
+    way, however small the step; there is no tolerance. The index reported is
+    the right-hand point of the first step that does not, 1 when the first
+    step is a tie (as on the all-zero curves of a C = 0 model).
     """
     if len(curve) < 2:
         raise InsufficientDataError("monotonicity check needs at least 2 samples")
-    values = curve.values
-    diffs = np.diff(values)
-    tol = MONOTONICITY_TOLERANCE * np.maximum(np.abs(values[1:]), np.abs(values[:-1]))
+    diffs = np.diff(curve.values)
     direction = np.sign(diffs[0])
-    strict = direction * diffs > tol
+    strict = direction * diffs > 0
     if strict.all():
         return MonotonicityResult(
             Monotonicity.INCREASING if direction > 0 else Monotonicity.DECREASING

@@ -137,9 +137,9 @@ def fit_ratio(
 ) -> RatioFit:
     """Fit both series and assemble their ratio model.
 
-    Also reports observed-vs-model ratio residuals on the common years;
-    common years at or past the fitted model's domain end are left out of
-    the residual report since the model has no value there. A pair that
+    Also reports observed-vs-model ratio residuals on the common years
+    before the fitted model's domain end, where the model has a value;
+    fewer than 3 such years raise InsufficientDataError. A pair that
     ``RatioModel`` refuses, or whose observed or model ratio on those years
     is not a finite normal float, raises UnrepresentableError.
     """
@@ -154,16 +154,15 @@ def fit_ratio(
     common, num_idx, den_idx = np.intersect1d(
         numerator.years, denominator.years, assume_unique=True, return_indices=True
     )
+    in_domain = ~past_domain(model, common)
+    common, num_idx, den_idx = common[in_domain], num_idx[in_domain], den_idx[in_domain]
     if common.size < 3:
         raise InsufficientDataError(
-            f"series {names} share only "
-            f"{common.size} common years; need at least 3 for residual reporting"
+            f"series {names} share only {common.size} common years before the ratio "
+            f"domain end {model.domain_end:g}; need at least 3 for residual reporting"
         )
     with np.errstate(over="ignore"):  # refused below, as are quotients that underflow
         observed = numerator.values[num_idx] / denominator.values[den_idx]
-
-    in_domain = ~past_domain(model, common)
-    common, observed = common[in_domain], observed[in_domain]
     predicted = eval_ratio(model, common)
     bad = ~(_in_normal_range(observed) & _in_normal_range(predicted))
     if bad.any():

@@ -274,6 +274,17 @@ class TestDiagnose:
         for stem in ("gradient_curve", "growth_rate_curve", "gradient_vs_size", "growth_rate_vs_size"):
             assert (tmp_path / f"{stem}.csv").exists()
 
+    def test_dense_grid_steps_below_1e_12_stay_monotone(self, tmp_path, capsys):
+        # Each step is about 2e-13 of its values, and every one counts.
+        code, out = run_cli(
+            capsys, "diagnose", "--f-a", "4.5", "--f-k", "2.2e-3", "--g-a", "7.0",
+            "--g-k", "3.35e-3", "--grid-from=-1e6", "--grid-to=-999999.99",
+            "--grid-points", "100000", "--candidates", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        for verdict in json.loads(out)["monotonicity"].values():
+            assert verdict == {"verdict": "monotone_increasing", "first_violation": None}
+
     def test_data_mode_runs_break_tests(self, tmp_path, capsys):
         f_file = synth_file(tmp_path, "f.csv", F_PARAMS, start=1000.0, stop=1950.0, step=25.0)
         g_file = synth_file(tmp_path, "g.csv", G_PARAMS, start=1000.0, stop=1950.0, step=25.0)
@@ -839,6 +850,8 @@ FAILURES = [
     ("diagnose_quotient_overflow", ["diagnose", "--gdp", "{hi}", "--pop", "{lo}", "--candidates"],
      2, "UnrepresentableError"),
     ("ratio_quotient_underflow", ["ratio", "{lo}", "{hi}"], 2, "UnrepresentableError"),
+    # Three common years, but the third lies past the ratio domain end 3.05051.
+    ("ratio_common_years_past_domain", ["ratio", "{n5}", "{d5}"], 2, "InsufficientDataError"),
     # A non-constant model's value, gradient and growth rate are never 0: the
     # curve is refused where one falls below float64's normal range.
     ("ratio_value_underflow", ["ratio", "{f_65}", "{g_tiny}", "--grid-points", "6"],
@@ -961,6 +974,8 @@ class TestEveryFailurePath:
             "huge_g": tmp_path / "huge_g.csv",
             "hi": tmp_path / "hi.csv",
             "lo": tmp_path / "lo.csv",
+            "n5": tmp_path / "n5.csv",
+            "d5": tmp_path / "d5.csv",
             "f_65": synth_file(tmp_path, "f_65.csv", F_PARAMS, stop=1950.0, step=65.0),
             # t_s = 2000, before f's 2045; values near 1e300 put R = f/g near 1e-301 and below
             "g_tiny": synth_file(tmp_path, "g_tiny.csv", HyperbolicParams(7e-301, 3.5e-304),
@@ -979,6 +994,8 @@ class TestEveryFailurePath:
             "huge_g": [(i, "%.6g" % (1e300 * (1 + 0.05 * i))) for i in range(5)],
             "hi": [(i, repr(1e300 / (1 - 0.1 * i))) for i in range(5)],
             "lo": [(i, repr(1e-300 / (1 - 0.05 * i))) for i in range(5)],
+            "n5": [(0, 1), (1, 100), (2, 100), (3, 100), (4, 100)],
+            "d5": [(t, repr(1 / (20 - t))) for t in (2, 3, 4)],
         }.items():
             files[name].write_text("year,value\n" + "".join(f"{t},{v}\n" for t, v in rows))
         return {name: str(path) for name, path in files.items()}

@@ -213,6 +213,26 @@ class TestMonotonicityCheck:
         result = monotonicity_check(gradient_curve(diminishing_model, grid))
         assert result.verdict is Monotonicity.DECREASING
 
+    # Each step is about 2e-13 of its values, and every one counts.
+    @pytest.mark.parametrize("model, verdict", [
+        ("escalating_model", Monotonicity.INCREASING),
+        ("diminishing_model", Monotonicity.DECREASING),
+    ])
+    @pytest.mark.parametrize("build", [gradient_curve, growth_rate_curve])
+    def test_every_tiny_step_counts_on_a_dense_grid(self, request, model, verdict, build):
+        grid = np.linspace(-1e6, -999999.99, 100000)
+        result = monotonicity_check(build(request.getfixturevalue(model), grid))
+        assert result.verdict is verdict
+        assert result.first_violation is None
+
+    @pytest.mark.parametrize("build", [gradient_curve, growth_rate_curve])
+    def test_constant_model_curves_are_non_monotone_at_one(self, build):
+        # C = 0: the ratio is constant and both curves are exact zeros.
+        m = make_ratio(HyperbolicParams(1, 0.5), HyperbolicParams(2, 1))
+        result = monotonicity_check(build(m, np.linspace(0.0, 1.0, 16)))
+        assert result.verdict is Monotonicity.NON_MONOTONE
+        assert result.first_violation == 1
+
     def test_rise_then_fall_reports_first_fall(self):
         curve = DiagnosticsCurve("time", "value", [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 2.5])
         result = monotonicity_check(curve)

@@ -236,6 +236,26 @@ class TestFitRatio:
         with pytest.raises(InsufficientDataError):
             fit_ratio(a, b)
 
+    # 1/n falls from 1 to a flat 0.01; its fitted line reaches 0, the ratio domain end, at 3.05051.
+    N5 = TimeSeries(years=[0.0, 1.0, 2.0, 3.0, 4.0], values=[1.0, 100, 100, 100, 100], name="n5")
+
+    def test_common_years_counted_before_the_domain_end(self):
+        # Years 2, 3 and 4 are common, but the model has no value at year 4.
+        d5 = TimeSeries(years=[2.0, 3.0, 4.0], values=[1 / 18, 1 / 17, 1 / 16], name="d5")
+        with pytest.raises(InsufficientDataError, match=(
+                "^series 'n5' and 'd5' share only 2 common years before the ratio domain "
+                "end 3.05051; need at least 3 for residual reporting$")):
+            fit_ratio(self.N5, d5)
+
+    def test_common_years_past_the_domain_end_dropped(self):
+        years = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        den = TimeSeries(years=years, values=1 / (20 - years), name="d")
+        rfit = fit_ratio(self.N5, den)
+        assert 3.0 < rfit.model.domain_end < 4.0
+        np.testing.assert_array_equal(rfit.common_years, [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(rfit.observed_ratio, self.N5.values[:4] / den.values[:4])
+        assert rfit.predicted_ratio.size == rfit.residuals.size == 4
+
     @pytest.mark.parametrize("scale", [1e-200, 1e300])
     def test_modulation_terms_outside_float64_refused(self, scale):
         # 1e-200: k_f*a_g overflows; 1e300: both terms underflow to 0 and C reads as 0.
