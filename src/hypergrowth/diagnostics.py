@@ -6,9 +6,9 @@ Two complementary diagnostics for the "did growth change regime?" question:
   monotonicity check: a regime change or takeoff would show up as a sign
   change or stationary point, and for a ratio of hyperbolic trajectories
   none can exist;
-* a Chow-style structural-break test on observed data, comparing a single
-  straight line in reciprocal space against two independent lines split at
-  a candidate year via an F statistic on residual sums.
+* a Chow-style structural-break test on observed data, comparing one straight
+  line in reciprocal space against independent lines on the segments between
+  split years via an F statistic on residual sums with an exact even-q tail.
 """
 
 from __future__ import annotations
@@ -186,13 +186,27 @@ def series_growth_rate(series: TimeSeries) -> DiagnosticsCurve:
     return DiagnosticsCurve("time", "growth_rate", t[1:-1], rate)
 
 
-def f_survival(f_stat: float, df_den: float) -> float:
-    """Upper tail P(F > f_stat) of the F distribution with 2 and ``df_den`` dof.
+def f_survival(f_stat: float, q: int, df_den: float) -> float:
+    """Upper tail P(F > f_stat) of the F distribution with ``q`` and ``df_den`` dof; q even, >= 2.
 
-    For 2 numerator dof the tail is elementary, (1 + 2f/df_den) ** (-df_den/2)
-    (Abramowitz & Stegun 26.6). F = 0 gives exactly 1 and F = inf gives 0.
+    With u = df_den/(df_den + q*f) it is u**(df_den/2) * sum_{j<q/2} C(df_den/2+j-1, j) (1-u)**j
+    (Abramowitz & Stegun 26.6.4), exactly 1 at F = 0 and 0 at F = inf or where q*f overflows.
     """
-    return math.exp(-0.5 * df_den * math.log1p(2.0 * f_stat / df_den))
+    qf = q * float(f_stat)
+    x = qf / (df_den + qf) if qf < math.inf else 1.0  # 1 - u, never inf/inf
+    term = total = 1.0
+    for j in range(1, q // 2):  # each binomial term from the one before; none at q = 2
+        term *= (0.5 * df_den + j - 1) / j * x
+        total += term
+    return math.exp(-0.5 * df_den * math.log1p(qf / df_den)) * total
+
+
+def _segments_sse(t: np.ndarray, z: np.ndarray, w: np.ndarray, splits=()) -> float:
+    """Summed residual squares of independent weighted lines on the slices between ``splits``."""
+    bounds, total = [0, *splits, len(t)], 0.0
+    for i, k in zip(bounds, bounds[1:]):  # left to right: sum() compensates from Python 3.12
+        total += _line_sse(t[i:k], z[i:k], w[i:k])[3]
+    return total
 
 
 def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> BreakTestResult:
@@ -205,8 +219,7 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
     degrees of freedom; scaling the values by a power of two leaves F and p
     unchanged. Noiseless data that a single line explains exactly, to 1e-20 of
     the reciprocals' sum of squares (a constant series among them), carries no
-    evidence of a break: F is 0. Two exact segments give F = inf. The
-    closed-form tail gives p = 1 at F = 0 and p = 0 at F = inf. Residual sums
+    evidence of a break: F is 0. Two exact segments give F = inf. Residual sums
     that overflow in the values' own units, or, unless the data are noiseless,
     that are nonzero but below float64's normal range, raise UnrepresentableError.
     """
@@ -220,13 +233,11 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
             f"of {break_year:g}, got {j} before and {after} after"
         )
     z, w, top = _reciprocal(series, "unweighted")
-    single, segmented = scaled = np.array([
-        _line_sse(t, z, w)[3], _line_sse(t[:j], z[:j], w[:j])[3] + _line_sse(t[j:], z[j:], w[j:])[3]
-    ])
+    single, segmented = scaled = np.array([_segments_sse(t, z, w), _segments_sse(t, z, w, [j])])
     noiseless = single <= 1e-20 * (w * z * z).sum()  # z >= 1: the sum is positive
-    df_den = float(len(series) - 4)
+    q, df_den = 2, float(len(series) - 4)  # 2 x (extra segments), n - 2 x (lines)
     with np.errstate(divide="ignore", over="ignore"):  # an inf F stands; inf sums are refused
-        f_stat = 0.0 if noiseless else max(0.0, (single - segmented) / 2.0 / (segmented / df_den))
+        f_stat = 0.0 if noiseless else max(0.0, (single - segmented) / q / (segmented / df_den))
         unscaled = np.ldexp(scaled, -2 * top)  # the sums in the values' own units
     # a noiseless series' sums are rounding noise, kept even where they underflow
     ok = np.isfinite(unscaled) & (noiseless | (scaled == 0.0) | _in_normal_range(unscaled))
@@ -236,7 +247,7 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
             f"normal range for values from {series.values.min():g} to {series.values.max():g}"
         )
     sse_single, sse_segmented = unscaled.tolist()
-    p_value = f_survival(f_stat, df_den)
+    p_value = f_survival(f_stat, q, df_den)
     return BreakTestResult(
         break_year=float(break_year),
         sse_single=sse_single,

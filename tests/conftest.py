@@ -20,6 +20,9 @@ from hypergrowth import HyperbolicParams, make_ratio
 F_PARAMS = HyperbolicParams(a=4.5, k=2.2e-3)
 G_PARAMS = HyperbolicParams(a=7.0, k=3.35e-3)
 
+#: Seed of the acceptance criteria's noisy draws.
+SEED = 20260810
+
 
 @pytest.fixture
 def f_params():

@@ -33,9 +33,7 @@ from hypergrowth import (
 )
 from hypergrowth.ratio import PATHWAYS
 
-from conftest import F_PARAMS, G_PARAMS
-
-SEED = 20260810
+from conftest import F_PARAMS, G_PARAMS, SEED
 
 
 def _dataset_paths():

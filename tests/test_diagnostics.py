@@ -35,7 +35,8 @@ from hypergrowth import (
 )
 
 from hypergrowth.core import last_guarded_time
-from hypergrowth.diagnostics import f_survival
+from hypergrowth.diagnostics import _segments_sse, f_survival
+from hypergrowth.fitting import _line_sse
 
 from conftest import F_PARAMS
 
@@ -447,39 +448,76 @@ class TestBreakTest:
 
 
 class TestFSurvival:
-    """The break test's F(2, nu) upper tail."""
+    """The break test's F(q, nu) upper tail, exact for every even q."""
 
-    def test_edges(self):
-        assert f_survival(0.0, 10.0) == 1.0
-        assert f_survival(float("inf"), 10.0) == 0.0
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_edges(self, q):
+        # q * 1e308 overflows for every q here; a naive 1 - u would be inf/inf = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f_val in (0.0, 5e-324, 1e308, float("inf")):
+                for df_den in (1.0, 10.0, 29.0):
+                    expected = 1.0 if f_val < 1.0 else 0.0
+                    assert f_survival(f_val, q, df_den) == expected
+                    assert f_survival(np.float64(f_val), q, df_den) == expected
 
     def test_known_value(self):
         # F(2, 27) upper tail at its 95th percentile is 0.05
         crit = sp_stats.f.ppf(0.95, 2, 27)
-        assert f_survival(crit, 27.0) == pytest.approx(0.05, abs=1e-12)
+        assert f_survival(crit, 2, 27.0) == pytest.approx(0.05, abs=1e-12)
 
-    def test_against_scipy(self):
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_against_scipy(self, q):
+        # an absolute bound: scipy's own relative error reaches ~5e-13 here (q = 8, nu = 127)
         rng = np.random.default_rng(13)
         worst = 0.0
         for _ in range(2000):
             df_den = float(rng.integers(1, 500))
             f_val = 10.0 ** rng.uniform(-3, 2)
-            worst = max(worst, abs(f_survival(f_val, df_den) - sp_stats.f.sf(f_val, 2, df_den)))
+            worst = max(worst, abs(f_survival(f_val, q, df_den) - sp_stats.f.sf(f_val, q, df_den)))
         assert worst < 1e-14
 
-    def test_matches_40_digit_decimal_oracle(self):
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_matches_40_digit_decimal_oracle(self, q):
         # relative error over nu in [1, 1e5], F in [1e-6, 1e3], wherever p >= 1e-300
         worst = Decimal(0)
         with localcontext() as ctx:
             ctx.prec = 40
             for nu in np.geomspace(1.0, 1e5, 40):
                 for f_val in np.geomspace(1e-6, 1e3, 40):
-                    exact = (-Decimal(nu) / 2 * (1 + 2 * Decimal(f_val) / Decimal(nu)).ln()).exp()
+                    qf, dnu = q * Decimal(f_val), Decimal(nu)
+                    term = total = Decimal(1)
+                    for j in range(1, q // 2):
+                        term *= (dnu / 2 + j - 1) / j * qf / (dnu + qf)
+                        total += term
+                    exact = (-dnu / 2 * (1 + qf / dnu).ln()).exp() * total
                     if exact < Decimal("1e-300"):
                         continue
-                    got = Decimal(f_survival(float(f_val), float(nu)))
+                    got = Decimal(f_survival(float(f_val), q, float(nu)))
                     worst = max(worst, abs(got - exact) / exact)
         assert worst <= Decimal("1e-12")
+
+
+class TestSegmentsSse:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(3, 12), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sums_slice_fits(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        n, splits = sum(lengths), np.cumsum(lengths)[:-1].tolist()
+        t = np.sort(rng.uniform(1000.0, 2000.0, n))
+        z = rng.uniform(1.0, 10.0, n)
+        w = rng.uniform(0.1, 10.0, n)
+        single = _segments_sse(t, z, w)
+        assert single == _line_sse(t, z, w)[3]
+        expected = 0.0  # added left to right on every Python, as the segment sums are
+        for i, k in zip([0, *splits], [*splits, n]):
+            expected += _line_sse(t[i:k], z[i:k], w[i:k])[3]
+        assert _segments_sse(t, z, w, splits) == expected
+        # nested: one split can only lower the residual sum, up to rounding
+        assert _segments_sse(t, z, w, splits[:1]) <= single * (1 + 1e-12)
 
 
 class TestTakeoffScan:
