@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import HypergrowthError, InsufficientDataError, UnrepresentableError, ValidationError
 from .fitting import _line_sse, _reciprocal
-from .ratio import RatioModel, ratio_gradient, ratio_growth_rate, time_at_ratio
+from .ratio import RatioModel, Shape, classify_shape, time_at_ratio
+from .ratio import ratio_gradient, ratio_growth_rate
 from .series import TimeSeries, _first_fault, _frozen_array, _in_normal_range
 
 #: Each abscissa kind and its name in curve headers and messages.
@@ -102,12 +103,12 @@ class TakeoffScanEntry:
 def _model_curve(m: RatioModel, abscissa_kind: str, quantity: str, x, values) -> DiagnosticsCurve:
     """A curve evaluated from ``m``, refused where a value leaves float64's normal range.
 
-    With C != 0 the value, gradient and growth rate are never 0 on the domain, so
-    a value below the smallest normal float is an underflow that can hide C's sign.
+    Unless ``classify_shape`` calls the model constant, no value, gradient or growth rate
+    is 0 on the domain: a value below the smallest normal float is an underflow hiding C's sign.
     """
     curve = DiagnosticsCurve(abscissa_kind, quantity, x, values)
     small = ~_in_normal_range(curve.values)
-    if m.modulation_constant != 0.0 and small.any():
+    if classify_shape(m) is not Shape.CONSTANT and small.any():
         i = int(np.argmax(small))
         raise ValidationError(
             f"ratio {quantity} {curve.values[i]:g} at {ABSCISSA_NAMES[abscissa_kind]} "

@@ -52,14 +52,15 @@ def parse_csv(
     else:
         header, body = _read(source)
     for col in (year_col, value_col):
-        if col not in header:
-            raise ParseError(f"line 1: missing column {col!r} in header {header}")
+        if header.count(col) != 1:
+            problem = "missing" if col not in header else "repeated"
+            raise ParseError(f"line 1: {problem} column {col!r} in header {header}")
     iy, iv = header.index(year_col), header.index(value_col)
 
     # CRLF rows without lone CRs or quotes (which may hold CRLF) read in bulk.
     if "\r" in body and '"' not in body and body.count("\r") == body.count("\r\n"):
         body = body.replace("\r\n", "\n")
-    bulk = _bulk_columns(body, iy, iv)
+    bulk = _bulk_columns(body, len(header), iy, iv)
     if bulk is None:
         # newline="" splits lines at CR, LF and CRLF, as parse_csv opens files.
         lines, years, values = _parse_rows(io.StringIO(body, newline=""), len(header), iy, iv)
@@ -90,23 +91,30 @@ def _read(fh) -> tuple[list[str], str]:
 # shape rows and cells only for csv.reader, and float() refuses the ASCII
 # separators \x1c-\x1f around a number where loadtxt strips them.
 _ROW_LOOP_CHARS = '"\r\x1c\x1d\x1e\x1f'
+# Every byte but "," and "\n": deleting them leaves the commas and line ends in order.
+_NOT_MARKS = bytes(b for b in range(256) if b not in b",\n")
 
 
-def _bulk_columns(body: str, iy: int, iv: int):
+def _bulk_columns(body: str, width: int, iy: int, iv: int):
     """(years, values) of every row after the header, read in one C call.
 
-    Returns None unless the result is exactly the row loop's: a non-blank
-    body free of _ROW_LOOP_CHARS whose every line converts, one row per line
-    (loadtxt drops blank lines silently). On such a body loadtxt accepts a
+    Returns None unless the result is exactly the row loop's: a body free of
+    _ROW_LOOP_CHARS whose every line holds the header's ``width`` fields (so
+    no line is blank, which loadtxt would drop silently, or long, whose extra
+    fields it would ignore) and converts. On such a body loadtxt accepts a
     subset of float()'s spellings, with bitwise equal results; it rejects
     ``1_000`` and non-ASCII digits, which the row loop then handles. Bytes,
     not a StringIO, keep numpy from copying the text at 4 bytes a character.
     """
-    if not body or body.isspace() or any(c in body for c in _ROW_LOOP_CHARS):
+    if any(c in body for c in _ROW_LOOP_CHARS):
+        return None
+    text = body.encode()
+    marks = text.translate(None, _NOT_MARKS) + b"\n" * (not text.endswith(b"\n"))
+    if marks != (b"," * (width - 1) + b"\n") * marks.count(b"\n"):
         return None
     try:
-        years, values = np.loadtxt(
-            io.BytesIO(body.encode()),
+        return np.loadtxt(
+            io.BytesIO(text),
             encoding="utf-8",
             delimiter=",",
             comments=None,
@@ -116,16 +124,14 @@ def _bulk_columns(body: str, iy: int, iv: int):
         )
     except ValueError:
         return None
-    if len(years) != body.count("\n") + (not body.endswith("\n")):
-        return None
-    return years, values
 
 
 def _parse_rows(rows, width, iy, iv):
     """Line numbers, years and values of the non-blank rows, one at a time.
 
     The reference reader: the only code that reads quoted cells and CR line
-    ends, skips blank rows and names a malformed cell or a short row.
+    ends, skips blank rows and names a malformed cell, a short row or a row
+    with a non-blank field beyond the header's ``width``.
     """
     last = max(iy, iv)
     lines, years, values = [], [], []
@@ -134,7 +140,7 @@ def _parse_rows(rows, width, iy, iv):
         for lineno, row in enumerate(reader, start=2):
             if not "".join(row).strip():
                 continue
-            if len(row) <= last:
+            if len(row) <= last or "".join(row[width:]).strip():
                 raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
             try:
                 years.append(_plain_float(row[iy]))

@@ -166,16 +166,14 @@ def time_at_ratio(m: RatioModel, level: float) -> float:
 
 
 def classify_shape(m: RatioModel) -> Shape:
-    """Classify the ratio by the sign of C.
+    """Classify the ratio by the sign of the computed C, which its gradient and growth rate share.
 
     ESCALATING (C > 0): the ratio increases monotonically and blows up at
     the numerator's singularity. DIMINISHING (C < 0): it decreases
     monotonically toward zero approaching the denominator's singularity.
-    CONSTANT: |C| within rounding tolerance of zero, scaled to the magnitude
-    of C's terms.
+    CONSTANT: C is exactly 0.0.
     """
     c = m.modulation_constant
-    eps = 1e-12 * m.f.k * m.g.a
-    if abs(c) <= eps:
+    if c == 0.0:
         return Shape.CONSTANT
     return Shape.ESCALATING if c > 0 else Shape.DIMINISHING

@@ -285,6 +285,20 @@ class TestDiagnose:
         for verdict in json.loads(out)["monotonicity"].values():
             assert verdict == {"verdict": "monotone_increasing", "first_violation": None}
 
+    def test_shape_of_a_rounding_error_c_agrees_with_its_curves(self, tmp_path, capsys):
+        # g is f scaled by 3 up to rounding; C is 2**-57, not 0.0, so the ratio escalates.
+        code, out = run_cli(
+            capsys, "diagnose", "--f-a", "7.873971570789526", "--f-k", "0.0020202761029576868",
+            "--g-a", "23.62191471236858", "--g-k", "0.00606082830887306", "--candidates",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["model"]["modulation_constant"] == 6.938893903907228e-18
+        assert report["model"]["shape"] == "escalating"
+        for verdict in report["monotonicity"].values():
+            assert verdict["verdict"] == "monotone_increasing"
+
     def test_data_mode_runs_break_tests(self, tmp_path, capsys):
         f_file = synth_file(tmp_path, "f.csv", F_PARAMS, start=1000.0, stop=1950.0, step=25.0)
         g_file = synth_file(tmp_path, "g.csv", G_PARAMS, start=1000.0, stop=1950.0, step=25.0)
@@ -818,6 +832,10 @@ TINY_K_PARAMS = ["--f-a", "1", "--f-k", "1e-300", "--g-a", "1", "--g-k", "5e-301
 # (case, argv, exit code, error type[, mark]); {name} is replaced by that input file's path.
 FAILURES = [
     ("parse", ["fit", "{bad}"], 2, "ParseError"),
+    # "1820,1,041": an unquoted thousands separator is not read as the value 1.
+    ("thousands_separator", ["downsample", "{thousands}", "--years", "1700", "1820"],
+     2, "ParseError"),
+    ("repeated_column", ["fit", "{repeated}"], 2, "ParseError"),
     ("validation", ["downsample", "{f}", "--years", "0", "1234"], 2, "ValidationError"),
     ("insufficient_data", ["fit", "{two_points}"], 2, "InsufficientDataError"),
     ("fit_rejected", ["fit", "{falling}"], 2, "FitRejectedError"),
@@ -964,6 +982,8 @@ class TestEveryFailurePath:
             "f": synth_file(tmp_path, "f.csv", F_PARAMS),
             "g": synth_file(tmp_path, "g.csv", G_PARAMS),
             "bad": tmp_path / "bad.csv",
+            "thousands": tmp_path / "thousands.csv",
+            "repeated": tmp_path / "repeated.csv",
             "two_points": tmp_path / "two.csv",
             "falling": tmp_path / "falling.csv",
             "wide": tmp_path / "wide.csv",
@@ -982,6 +1002,8 @@ class TestEveryFailurePath:
                                  stop=1950.0, step=65.0),
         }
         files["bad"].write_text("year,value\n1,1\n2,oops\n")
+        files["thousands"].write_text("year,value\n1700,603\n1820,1,041\n")
+        files["repeated"].write_text("year,value,value\n1,1,5\n2,2,6\n3,3,7\n4,4,8\n")
         files["two_points"].write_text("year,value\n1,1\n2,2\n")
         files["falling"].write_text("year,value\n0,10\n1,6\n2,3\n3,1\n")
         files["wide"].write_text("year,value\n0,1e-200\n1,1e-100\n2,1\n3,1e100\n4,1e200\n")
@@ -1035,6 +1057,15 @@ class TestEveryFailurePath:
         argv = {c[0]: c[1] for c in FAILURES}[case]
         _, captured = self.run_strict(capsys, [*argv, "--out-dir", str(tmp_path)], inputs)
         assert json.loads(captured.out)["error"]["message"].startswith(message)
+
+    @pytest.mark.parametrize("case, message", [
+        ("thousands_separator", "line 3: expected 2 fields, got 3"),
+        ("repeated_column", "line 1: repeated column 'value' in header ['year', 'value', 'value']"),
+    ])
+    def test_input_refusal_names_its_line(self, tmp_path, capsys, inputs, case, message):
+        argv = {c[0]: c[1] for c in FAILURES}[case]
+        _, captured = self.run_strict(capsys, [*argv, "--out-dir", str(tmp_path)], inputs)
+        assert json.loads(captured.out)["error"]["message"] == message
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv))
     def test_usage_error_writes_nothing(self, tmp_path, capsys, monkeypatch, inputs, argv):

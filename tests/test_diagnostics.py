@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
@@ -17,11 +17,14 @@ from hypergrowth import (
     HypergrowthError,
     InsufficientDataError,
     Monotonicity,
+    MonotonicityResult,
     NoSolutionError,
+    Shape,
     TimeSeries,
     UnrepresentableError,
     ValidationError,
     break_test,
+    classify_shape,
     curves_vs_size,
     eval_ratio,
     gradient_curve,
@@ -250,6 +253,44 @@ class TestMonotonicityCheck:
         curve = DiagnosticsCurve("time", "value", [0.0], [1.0])
         with pytest.raises(InsufficientDataError):
             monotonicity_check(curve)
+
+
+@st.composite
+def shape_models(draw):
+    """Ratio models, half of them f over a scaled copy of f: C there is 0.0 or a rounding error."""
+    a, t_s = draw(st.floats(1e-2, 1e2)), draw(st.floats(100.0, 5000.0))
+    f = HyperbolicParams(a, a / t_s)
+    if draw(st.booleans()):
+        s = draw(st.floats(0.1, 10.0))
+        return make_ratio(f, HyperbolicParams(a * s, f.k * s))
+    b = draw(st.floats(1e-2, 1e2))
+    return make_ratio(f, HyperbolicParams(b, b / draw(st.floats(100.0, 5000.0))))
+
+
+# g is f scaled by 3 up to rounding, and C is the single rounding error 2**-57.
+NEAR_PROPORTIONAL = make_ratio(
+    HyperbolicParams(7.873971570789526, 0.0020202761029576868),
+    HyperbolicParams(23.62191471236858, 0.00606082830887306),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=shape_models(), start=st.floats(-1e4, -1.0), frac=st.floats(0.0, 1.0),
+       points=st.integers(2, 64))
+@example(m=NEAR_PROPORTIONAL, start=-1.0, frac=1.0, points=512)
+def test_shape_agrees_with_both_curves(m, start, frac, points):
+    # CONSTANT exactly when both curves are exact zeros; otherwise every strictly
+    # monotone curve moves the way the shape says, however small C is.
+    grid = np.linspace(start, frac * min(last_guarded_time(m.f), last_guarded_time(m.g)), points)
+    curves = gradient_curve(m, grid), growth_rate_curve(m, grid)
+    shape = classify_shape(m)
+    assert [not c.values.any() for c in curves] == [shape is Shape.CONSTANT] * 2
+    verdicts = [monotonicity_check(c) for c in curves]
+    if shape is Shape.CONSTANT:
+        assert verdicts == [MonotonicityResult(Monotonicity.NON_MONOTONE, 1)] * 2
+    elif all(v.verdict is not Monotonicity.NON_MONOTONE for v in verdicts):
+        way = Monotonicity.INCREASING if shape is Shape.ESCALATING else Monotonicity.DECREASING
+        assert {v.verdict for v in verdicts} == {way}
 
 
 class TestSeriesGrowthRate:

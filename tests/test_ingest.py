@@ -78,6 +78,18 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="line 2"):
             parse_csv(io.StringIO("year,value\n1\n"))
 
+    def test_non_blank_field_beyond_header_refused(self):
+        # An unquoted thousands separator, as spreadsheet exports write: not the value 1.
+        with pytest.raises(ParseError) as info:
+            parse_csv(io.StringIO("year,value\n1700,603\n1820,1,041\n"))
+        assert str(info.value) == "line 3: expected 2 fields, got 3"
+
+    def test_repeated_column_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_csv(io.StringIO("year,value,value\n1,1,5\n2,2,6\n"))
+        message = "line 1: repeated column 'value' in header ['year', 'value', 'value']"
+        assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "text, cell", [("year,value\n1_000,2\n", "1_000"), ("year,value\n1,2_5\n", "2_5")]
     )
@@ -110,6 +122,8 @@ class TestParseCsv:
             (b"year,value\n1,2", [1], [2], True),
             (b"value,year\n2,1\n4,3\n", [1, 3], [2, 4], True),
             (b'note,year,value\n"a,5,6,b",1,2\n', [1], [2], False),
+            (b"year,value\n1,2,\n3,4, \n", [1, 3], [2, 4], False),
+            (b"year,value,note\n1,2\n3,4,a\n", [1, 3], [2, 4], False),
         ],
         ids=[
             "crlf",
@@ -121,6 +135,8 @@ class TestParseCsv:
             "no_trailing_newline",
             "value_before_year",
             "quoted_commas_before_year",
+            "trailing_blank_fields",
+            "row_shorter_than_header",
         ],
     )
     def test_file_layouts(self, tmp_path, data, years, values, bulk):
@@ -147,6 +163,14 @@ class TestParseCsv:
         path.write_bytes(f"year,value,note\n{body}".encode() + "1,2,caf\xe9\n".encode("latin-1"))
         with pytest.raises(ParseError, match=rf"^line {rows + 2}: not UTF-8 text: invalid"):
             parse_csv(path)
+
+    def test_non_utf8_line_counts_the_byte_order_mark(self, tmp_path):
+        # The decoder drops the 3-byte mark before the offset of the bad byte is taken.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfyear,value\n1,2\n3,\xff\n")
+        with pytest.raises(ParseError) as info:
+            parse_csv(path)
+        assert str(info.value) == "line 3: not UTF-8 text: invalid start byte"
 
     def test_quoted_crlf_cell_kept_in_message(self):
         # CRLF inside a quoted cell is cell text: the row loop reports it as is.
@@ -350,7 +374,9 @@ def _reference_parse(fh, year_col, value_col, name):
 
     Verbatim apart from dropping the ``unit_label`` pass-through, a field
     ``TimeSeries`` no longer has, and from refusing ``1_000``-style digit
-    grouping, which ``float()`` accepts and the parser rejects on purpose.
+    grouping, which ``float()`` accepts and the parser rejects on purpose,
+    and a non-blank field beyond the header, such as the ``041`` of an
+    unquoted thousands separator in ``1820,1,041``.
     """
 
     def _no_grouping(cell):
@@ -373,7 +399,7 @@ def _reference_parse(fh, year_col, value_col, name):
     for lineno, row in enumerate(reader, start=2):
         if not row or all(cell.strip() == "" for cell in row):
             continue
-        if len(row) <= max(iy, iv):
+        if len(row) <= max(iy, iv) or any(cell.strip() for cell in row[len(header):]):
             raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
             year = _no_grouping(row[iy])
@@ -429,11 +455,12 @@ def _csv_texts(draw):
     for year in draw(st.lists(_YEAR_CELLS, max_size=8, unique=True)):
         cells = {"year": year, "value": draw(_VALUE_CELLS)}
         row = [cells.get(h.strip(), "a") for h in header]
-        rows.append(row + ["b", ""] if draw(st.booleans()) else row)
+        rows.append(row + ["", " "] if draw(st.booleans()) else row)  # blank extras are read
     if rows and draw(st.booleans()):
         i = draw(st.integers(0, len(rows) - 1))
-        broken = draw(st.sampled_from(["x", "", "1,5", 'a"b', "short"]))
-        rows[i] = rows[i][:1] if broken == "short" else [broken] * len(header)
+        broken = draw(st.sampled_from(["x", "", "1,5", 'a"b', "short", "long"]))
+        bad = {"short": rows[i][:1], "long": rows[i] + ["b", ""]}  # the "b" refuses the row
+        rows[i] = bad.get(broken, [broken] * len(header))
     lines = [",".join(_cell(c, draw(st.booleans())) for c in r) for r in rows]
     lines += draw(st.lists(st.sampled_from(["", "  ", "\t", " , ", ",,"]), max_size=3))
     lines = [",".join(header)] + draw(st.permutations(lines))
@@ -496,9 +523,9 @@ _PLAIN_VALUES = st.one_of(
 
 @st.composite
 def _plain_csv_texts(draw):
-    """Texts numpy's reader takes whole: an unquoted LF-only body, no blank or short rows.
+    """Texts numpy's reader takes whole: an unquoted LF-only body, each row the header's width.
 
-    The header may be quoted or reordered, and rows may carry extra columns.
+    The header may be quoted or reordered.
     """
     header = draw(_HEADERS)
     quoted = draw(st.booleans())
@@ -506,7 +533,7 @@ def _plain_csv_texts(draw):
     for _ in range(draw(st.integers(1, 8))):
         cells = {"year": draw(_PLAIN_YEARS), "value": draw(_PLAIN_VALUES)}
         row = [cells.get(h.strip(), "a") for h in header]
-        lines.append(",".join(row + ["b", ""] if draw(st.booleans()) else row))
+        lines.append(",".join(row))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
