@@ -138,13 +138,10 @@ def _write_json(path: Path, parts) -> None:
 
 
 def _print(text: str) -> None:
-    """Write ``text`` and a newline to stdout as file-system bytes: the CLI's one stdout writer."""
-    if hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(os.fsencode(text) + b"\n")
-        sys.stdout.buffer.flush()  # a closed pipe raises here, where main handles it
-    else:  # a text-only stream, such as io.StringIO
-        sys.stdout.write(text + "\n")
+    """The CLI's one stdout writer: ``text`` and a newline to ``sys.stdout.buffer``, fs-encoded."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(os.fsencode(text) + b"\n")
+    sys.stdout.buffer.flush()  # a closed pipe raises here, where main handles it
 
 
 def _load_series(path: str, args) -> TimeSeries:

@@ -25,32 +25,28 @@ from .errors import ParseError, ValidationError
 from .series import TimeSeries, _first_fault
 
 
-def parse_csv(
-    source,
-    year_col: str = "year",
-    value_col: str = "value",
-    name: str | None = None,
-) -> TimeSeries:
-    """Parse a (year, value) CSV file or text stream into a TimeSeries.
+def parse_csv(path, year_col: str = "year", value_col: str = "value") -> TimeSeries:
+    """Parse a (year, value) CSV file into a TimeSeries named after the file's stem.
 
     Raises ValueError if year_col equals value_col, and ParseError (malformed input)
     or ValidationError (rows that violate series invariants) naming the offending line.
     """
     if year_col == value_col:
         raise ValueError(f"year_col and value_col are both {year_col!r}")
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-        try:
-            header, body = _read(fh)
-        except UnicodeDecodeError as exc:  # exc.object: the undecoded bytes up to the read position
-            start = fh.buffer.tell() - len(exc.object) + exc.start
-            line = data.count(b"\n", 0, start) + 1
-            raise ParseError(f"line {line}: not UTF-8 text: {exc.reason}") from None
-        del data, fh  # each byte was read and decoded once; the text alone is parsed
-        name = Path(source).stem if name is None else name
-    else:
-        header, body = _read(source)
+    data = Path(path).read_bytes()
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    try:
+        header = [h.strip() for h in next(csv.reader(fh))]
+        body = fh.read()
+    except StopIteration:
+        raise ParseError("empty input: missing header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"line 1: {exc}") from None
+    except UnicodeDecodeError as exc:  # exc.object: the undecoded bytes up to the read position
+        start = fh.buffer.tell() - len(exc.object) + exc.start
+        line = data.count(b"\n", 0, start) + 1
+        raise ParseError(f"line {line}: not UTF-8 text: {exc.reason}") from None
+    del data, fh  # each byte was read and decoded once; the text alone is parsed
     for col in (year_col, value_col):
         if header.count(col) != 1:
             problem = "missing" if col not in header else "repeated"
@@ -73,18 +69,7 @@ def parse_csv(
     fault = _first_fault(years, values)
     if fault is not None:
         raise ValidationError(f"line {lines[order[fault[0]]]}: {fault[1]}")
-    return TimeSeries(years=years, values=values, name=name or "")
-
-
-def _read(fh) -> tuple[list[str], str]:
-    """The stripped cells of a text stream's header row and the text after that row."""
-    try:
-        header = next(csv.reader(fh))
-    except StopIteration:
-        raise ParseError("empty input: missing header row") from None
-    except csv.Error as exc:
-        raise ParseError(f"line 1: {exc}") from None
-    return [h.strip() for h in header], fh.read()
+    return TimeSeries(years=years, values=values, name=Path(path).stem)
 
 
 # Characters on which numpy's reader and the row loop disagree: quotes and CR
@@ -162,23 +147,22 @@ def _plain_float(cell: str) -> float:
 
 def write_csv(
     series: TimeSeries,
-    dest,
+    path,
     year_col: str = "year",
     value_col: str = "value",
 ) -> None:
-    """Write a TimeSeries as CSV, 12 significant digits per number."""
-    write_columns(dest, [year_col, value_col], [series.years, series.values])
+    """Write a TimeSeries as a CSV file, 12 significant digits per number."""
+    write_columns(path, [year_col, value_col], [series.years, series.values])
 
 
-def write_columns(dest, header: list[str], columns) -> None:
-    """Write equal-length numeric columns as CSV to a path or text stream.
+def write_columns(path, header: list[str], columns) -> None:
+    """Write equal-length numeric columns as a CSV file.
 
     Every number is written as format(v, ".12g"): 12 significant digits,
     far beyond the precision of any historical table. Rows end in a bare
-    newline. Columns of unequal lengths raise ValueError before anything is written.
+    newline. Columns of unequal lengths raise ValueError before the file is opened.
     _format_rows lays the rows out as bytes in blocks of _CHUNK_ROWS (8,192), whose
-    temporaries stay in cache and are reused rather than faulted in again. A path's
-    file gets the bytes as they are, a text stream decoded.
+    temporaries stay in cache and are reused rather than faulted in again.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     lengths = sorted({len(c) for c in columns})
@@ -186,15 +170,10 @@ def write_columns(dest, header: list[str], columns) -> None:
         raise ValueError(f"columns of unequal lengths {lengths}")
     head = io.StringIO()  # only the header can need quoting
     csv.writer(head, lineterminator="\n").writerow(header)
-    blocks = (_format_rows(np.column_stack([c[i : i + _CHUNK_ROWS] for c in columns]))
-              for i in range(0, max(lengths, default=0), _CHUNK_ROWS))
-    if isinstance(dest, (str, Path)):
-        with open(dest, "wb") as fh:
-            fh.write(head.getvalue().encode())
-            fh.writelines(blocks)
-    else:
-        dest.write(head.getvalue())
-        dest.writelines(block.decode() for block in blocks)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode())
+        fh.writelines(_format_rows(np.column_stack([c[i : i + _CHUNK_ROWS] for c in columns]))
+                      for i in range(0, max(lengths, default=0), _CHUNK_ROWS))
 
 
 # Twelve significant digits of |v| are the integer rint(|v| * 10**(11 - e)),

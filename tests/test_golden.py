@@ -89,10 +89,10 @@ def run_cli_cases() -> dict[str, bytes]:
     Path("bad.csv").write_text("year,value\n1,1\n2,oops\n", encoding="utf-8")
     outputs = {}
     for name, argv in CLI_CASES:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        stdout = io.TextIOWrapper(io.BytesIO())  # the CLI writes bytes to its buffer
+        with contextlib.redirect_stdout(stdout):
             code = main(argv)
-        outputs[f"{name}.stdout"] = f"exit {code}\n{buf.getvalue()}".encode()
+        outputs[f"{name}.stdout"] = f"exit {code}\n".encode() + stdout.buffer.getvalue()
     outputs.update(_tree(Path(".")))
     return outputs
 
