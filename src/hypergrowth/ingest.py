@@ -187,9 +187,8 @@ _POW10 = np.array([10**k for k in range(23)], dtype=float)
 _TIE_MARGIN = 1e-3
 _CHUNK_ROWS = 1 << 13
 _LEADS = np.array([b"0.000", b"0.00", b"0.0", b"0."]).view(np.uint8).reshape(4, 5)  # e = -4..-1
-# _format_json's half-widths 5**s, the powers of ten it tries, and its separator.
+# _format_json's half-widths 5**s and its separator.
 _POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
-_STEPS = np.split(10 ** np.arange(1, 18, dtype=np.int64), [1, 2])
 _JSON_SEP = np.frombuffer(b",\n    ", np.uint8)
 
 
@@ -241,9 +240,10 @@ def _format_json(column) -> bytes:
     [0, 22], Dekker's product gives X in [1e16, 1e17) exactly, as the
     integer N plus r in [-1/2, 1/2]. In units of spacing(|v|) * 2**(s - 1),
     or 1/4 if coarser, distances and the half-width (5**s of the former) are
-    integers. No carry into a new decade: 10**(e + 1) is never inside, as
-    its float lies at or above it. json.dumps(v) writes zeros, non-finite
-    values, powers of two (lopsided intervals), other exponents and exact ties.
+    integers. The half-width is at most 2**-53 * X < 11.2, so one multiple of
+    100 at most is inside, and then the nearest multiple of 10 is too; ties
+    from 100 up lie 50 out. json.dumps(v) writes zeros, non-finite values,
+    powers of two (lopsided intervals), other exponents and exact ties.
     """
     x = np.asarray(column, dtype=float).ravel()
     a = np.abs(x)
@@ -264,19 +264,15 @@ def _format_json(column) -> bytes:
     units = np.left_shift(1, np.maximum(k, 2))  # per 1
     # Distances under limit are inside: the half-width, plus one for an even mantissa.
     limit = (_POW5[s] << (np.maximum(k, 2) - k)) + ((a.view(np.uint64) & np.uint64(1)) == 0)
-    near = (big, (r * units).astype(np.int64), units, limit)
-    delta, tie = np.zeros_like(big), np.abs(r) == 0.5  # j = 0: N, or a tie with N +- 1
-    live = np.flatnonzero(ok)  # cells with a multiple of 10**(j - 1) inside
-    for steps in _STEPS:  # about half the cells need all 17 digits, and few under 16
-        b, ru, un, lim = (v[live, None] for v in near)
-        rem = b - b // steps * steps  # numpy divides faster than it takes remainders
-        d = rem - steps * ((rem > steps // 2) | ((rem == steps // 2) & (ru > 0)))  # N - nearest
-        count = (np.abs(np.clip(d, -16, 16) * un + ru) < lim).sum(axis=1)  # a prefix is inside
-        hit = (np.flatnonzero(count), count[count > 0] - 1)
-        delta[live[hit[0]]], tie[live[hit[0]]] = d[hit], ((rem == steps // 2) & (ru == 0))[hit]
-        live = live[count == steps.size]
+    ru = (r * units).astype(np.int64)
+    delta, tie, inside = np.zeros_like(big), np.abs(r) == 0.5, ok  # j = 0: N, or a tie with N +- 1
+    for step in (10, 100):  # N to 16, then 15 digits, kept while inside; |d * units| < 2**57
+        rem, half = big - big // step * step, step // 2  # no slow %
+        d = rem - step * ((rem > half) | ((rem == half) & (ru > 0)))  # N - nearest
+        inside = inside & (np.abs(d * units + ru) < limit)
+        delta, tie = np.where(inside, d, delta), np.where(inside, (rem == half) & (ru == 0), tie)
     ok &= ~tie
-    m = np.where(ok, big - delta, 10**16)
+    m = np.where(ok, big - delta, 10**16)  # no carry: 10**(e + 1) is not inside, its float >= it
     cells = _lay_out(x, ok, m, e, 17, 16, True, _JSON_SEP, json.dumps)
     return cells[: -_JSON_SEP.size]  # no separator after the last cell
 

@@ -16,15 +16,20 @@ from hypothesis import strategies as st
 
 from hypergrowth import (
     DomainError,
+    HyperbolicParams,
     ParseError,
     TimeSeries,
     ValidationError,
     fit_hyperbolic,
+    gradient_curve,
+    growth_rate_curve,
     ingest,
+    make_ratio,
     parse_csv,
     synthesize,
     write_csv,
 )
+from hypergrowth.core import last_guarded_time
 from hypergrowth.ingest import json_table
 from hypergrowth.series import _exact, _in_normal_range
 
@@ -753,6 +758,36 @@ def test_equal_candidate_cells_cover_ties_and_boundaries():
     assert all(kinds.values()), kinds
 
 
+def _fifteen_digit_kinds(cells):
+    """How many cells have a 15-digit decimal inside their rounding interval
+    other than the nearest 16-digit one, and how many a 16-digit one but no
+    15-digit one."""
+    kinds = {"15 digits, not the nearest 16": 0, "16 digits, no 15": 0}
+    for v in cells:
+        x, half_ulp = _scaled_to_17_digits(v)
+        even = not np.float64(v).view(np.uint64) & np.uint64(1)
+        inside = lambda c: abs(x - c) < half_ulp or (even and abs(x - c) == half_ulp)
+        nearest_16, nearest_15 = 10 * round(x / 10), 100 * round(x / 100)
+        kinds["15 digits, not the nearest 16"] += inside(nearest_15) and nearest_15 != nearest_16
+        kinds["16 digits, no 15"] += inside(nearest_16) and not inside(nearest_15)
+    return kinds
+
+
+def test_equal_candidate_cells_cover_both_roundings():
+    """Cells where _format_json's second rounding, to 15 digits, changes the
+    digits of its first, and cells where only the first lands inside.
+
+    A 16-digit exact tie never has a 15-digit decimal inside, so the second
+    rounding never clears a tie the first found. At such a tie X is an odd
+    integer and a multiple of 5**s: for s >= 2 it ends in 25 or 75, 25 from
+    any multiple of 100; for s = 1 the half-width is at most 10 * 2**-2 = 2.5
+    (v is a half-integer) against a distance of 5; and for s = 0 X would be
+    an odd integer above 2**53.
+    """
+    kinds = _fifteen_digit_kinds(_JSON_EQUAL_CANDIDATES.tolist())
+    assert all(kinds.values()), kinds
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
 @pytest.mark.parametrize(
     "cells",
@@ -773,6 +808,26 @@ def test_format_json_dense_cells():
     trips = [float(f"{v:.{p}g}") for v, p in zip(magnitudes.tolist(), rng.integers(1, 18, n).tolist())]
     signs = rng.choice([-1.0, 1.0], 3 * n)
     _assert_writes_json(np.concatenate([magnitudes, short, trips]) * signs)
+
+
+def test_json_table_writes_benchmark_curves():
+    """The curves a 200,000-point diagnose of the benchmark's models writes.
+
+    Trajectories 1.8e5/(t_s - t) with t_s = 2020 over 2030, from t = 0 to the
+    guard: both curves start near 2.4e-6, so many cells take the exponent form
+    just inside the writer's [-6, 16] range.
+    """
+    f, g = (HyperbolicParams(a=t_s / 1.8e5, k=1 / 1.8e5) for t_s in (2020.0, 2030.0))
+    m = make_ratio(f, g)
+    grid = np.linspace(0.0, min(last_guarded_time(f), last_guarded_time(g)), 200_000)
+    table = {"gradient": gradient_curve(m, grid).values,
+             "growth_rate": growth_rate_curve(m, grid).values}
+    assert min(v[0] for v in table.values()) < 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = b"".join(json_table(table))
+    want = json.dumps({k: v.tolist() for k, v in table.items()}, indent=2, sort_keys=True)
+    assert text == (want + "\n").encode()
 
 
 _JSON_BITS = st.integers(0, 2**64 - 1) | st.floats(1e-7, 1e17).map(
