@@ -10,7 +10,6 @@ from .core import (
     HyperbolicParams,
     eval_hyperbolic,
     reciprocal_value,
-    singularity_time,
 )
 from .diagnostics import (
     DEFAULT_BREAK_CANDIDATES,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -442,6 +443,8 @@ def main(argv=None) -> int:
     grid too big to allocate (MemoryError) exits 2, a domain error 3, each
     with one error JSON. A closed stdout exits 2, files kept.
     """
+    if argv is None:  # run as a program: collections and exit skip the import-time heap
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

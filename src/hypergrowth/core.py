@@ -87,8 +87,3 @@ def eval_hyperbolic(p: HyperbolicParams, t):
         )
     with np.errstate(over="ignore"):  # inf beside a tiny line: the series check refuses it
         return 1.0 / line
-
-
-def singularity_time(p: HyperbolicParams) -> float:
-    """Finite time a/k at which the trajectory escapes to infinity."""
-    return p.singularity_time

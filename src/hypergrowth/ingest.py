@@ -53,9 +53,6 @@ def parse_csv(path, year_col: str = "year", value_col: str = "value") -> TimeSer
             raise ParseError(f"line 1: {problem} column {col!r} in header {header}")
     iy, iv = header.index(year_col), header.index(value_col)
 
-    # CRLF rows without lone CRs or quotes (which may hold CRLF) read in bulk.
-    if "\r" in body and '"' not in body and body.count("\r") == body.count("\r\n"):
-        body = body.replace("\r\n", "\n")
     bulk = _bulk_columns(body, len(header), iy, iv)
     if bulk is None:
         # newline="" splits lines at CR, LF and CRLF, as parse_csv opens files.
@@ -72,29 +69,27 @@ def parse_csv(path, year_col: str = "year", value_col: str = "value") -> TimeSer
     return TimeSeries(years=years, values=values, name=Path(path).stem)
 
 
-# Characters on which numpy's reader and the row loop disagree: quotes and CR
-# shape rows and cells only for csv.reader, and float() refuses the ASCII
-# separators \x1c-\x1f around a number where loadtxt strips them.
-_ROW_LOOP_CHARS = '"\r\x1c\x1d\x1e\x1f'
-# Every byte but "," and "\n": deleting them leaves the commas and line ends in order.
-_NOT_MARKS = bytes(b for b in range(256) if b not in b",\n")
+# Every byte but the marks: "," and "\n", and the bytes on which numpy's reader and the
+# row loop disagree. Quotes and lone CRs shape rows and cells only for csv.reader, and
+# float() refuses the ASCII separators \x1c-\x1f around a number where loadtxt strips them.
+_NOT_MARKS = bytes(b for b in range(256) if b not in b',\n"\r\x1c\x1d\x1e\x1f')
 
 
 def _bulk_columns(body: str, width: int, iy: int, iv: int):
     """(years, values) of every row after the header, read in one C call.
 
-    Returns None unless the result is exactly the row loop's: a body free of
-    _ROW_LOOP_CHARS whose every line holds the header's ``width`` fields (so
-    no line is blank, which loadtxt would drop silently, or long, whose extra
-    fields it would ignore) and converts. On such a body loadtxt accepts a
-    subset of float()'s spellings, with bitwise equal results; it rejects
-    ``1_000`` and non-ASCII digits, which the row loop then handles. Bytes,
-    not a StringIO, keep numpy from copying the text at 4 bytes a character.
+    Returns None unless the result is exactly the row loop's: a body whose marks,
+    each CRLF taken as a LF, are the header's ``width`` fields on every line (so no
+    quote, lone CR or ASCII separator, no blank line, which loadtxt would drop
+    silently, or long one, whose extra fields it would ignore) and which converts;
+    loadtxt refuses a lone CR that only the marks put before a LF. It accepts a
+    subset of float()'s spellings, with bitwise equal results, and rejects
+    ``1_000`` and non-ASCII digits, which the row loop then handles. Bytes, not
+    a StringIO, keep numpy from copying the text at 4 bytes a character.
     """
-    if any(c in body for c in _ROW_LOOP_CHARS):
-        return None
     text = body.encode()
-    marks = text.translate(None, _NOT_MARKS) + b"\n" * (not text.endswith(b"\n"))
+    marks = text.translate(None, _NOT_MARKS).replace(b"\r\n", b"\n")
+    marks += b"\n" * (not text.endswith(b"\n"))  # after the replace: a final lone CR stays
     if marks != (b"," * (width - 1) + b"\n") * marks.count(b"\n"):
         return None
     try:

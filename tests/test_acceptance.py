@@ -29,7 +29,6 @@ from hypergrowth import (
     make_ratio,
     monotonicity_check,
     parse_csv,
-    singularity_time,
 )
 from hypergrowth.ratio import PATHWAYS
 
@@ -64,8 +63,8 @@ def test_criterion_1_historical_singularity_reproduction():
 
 
 def test_criterion_2_synthetic_reference_model():
-    t_s_f = singularity_time(F_PARAMS)
-    t_s_g = singularity_time(G_PARAMS)
+    t_s_f = F_PARAMS.singularity_time
+    t_s_g = G_PARAMS.singularity_time
     assert t_s_f == pytest.approx(2045.4545454545455, rel=1e-9)
     assert t_s_g == pytest.approx(2089.5522388059702, rel=1e-9)
     model = make_ratio(F_PARAMS, G_PARAMS)

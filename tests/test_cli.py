@@ -1145,6 +1145,37 @@ def test_closed_stdout_exits_2_quietly(tmp_path, command):
     assert (out_dir / written).stat().st_size > 0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_program_run_matches_in_process_main(tmp_path, monkeypatch, capsysbinary, fmt):
+    """``python -m hypergrowth.cli``, which freezes the heap first, writes as main(argv) does."""
+    synth_file(tmp_path, "f.csv", F_PARAMS, noise=0.01, seed=1)
+    synth_file(tmp_path, "g.csv", G_PARAMS, noise=0.01, seed=2)
+    capsysbinary.readouterr()  # the paths synth printed
+    commands = [["fit", "f.csv"], ["ratio", "f.csv", "g.csv"],
+                ["diagnose", "--gdp", "f.csv", "--pop", "g.csv"]]
+    runs = {}
+    for side in ("main", "program"):
+        work = tmp_path / side
+        work.mkdir()
+        for name in ("f.csv", "g.csv"):
+            shutil.copy(tmp_path / name, work / name)
+        monkeypatch.chdir(work)
+        stdout = []
+        for command in commands:
+            argv = [*command, "--format", fmt, "--grid-points", "16", "--out-dir", command[0]]
+            if side == "main":
+                stdout.append((main(argv), capsysbinary.readouterr().out))
+            else:
+                child = subprocess.run([sys.executable, "-m", "hypergrowth.cli", *argv],
+                                       env=child_env(), capture_output=True)
+                assert child.stderr == b""
+                stdout.append((child.returncode, child.stdout))
+        files = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        runs[side] = stdout, files
+    assert [code for code, _ in runs["main"][0]] == [0, 0, 0]
+    assert runs["program"] == runs["main"]
+
+
 @pytest.mark.skipif(shutil.which("hypergrowth") is None, reason="entry point not installed")
 def test_console_script_smoke(tmp_path):
     result = subprocess.run(

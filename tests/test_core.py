@@ -8,7 +8,6 @@ from hypergrowth import (
     HyperbolicParams,
     eval_hyperbolic,
     reciprocal_value,
-    singularity_time,
 )
 
 from conftest import finite_difference_step
@@ -81,12 +80,12 @@ class TestReciprocal:
 
 class TestSingularityTime:
     def test_reference_values(self, f_params, g_params):
-        assert singularity_time(f_params) == pytest.approx(2045.4545454545455, rel=1e-12)
-        assert singularity_time(g_params) == pytest.approx(2089.5522388059702, rel=1e-12)
+        assert f_params.singularity_time == pytest.approx(2045.4545454545455, rel=1e-12)
+        assert g_params.singularity_time == pytest.approx(2089.5522388059702, rel=1e-12)
 
     def test_fitted_gdp_scale(self):
         p = HyperbolicParams(a=1.716e-2, k=8.671e-6)
-        assert singularity_time(p) == pytest.approx(1979.0, abs=0.5)
+        assert p.singularity_time == pytest.approx(1979.0, abs=0.5)
 
 
 @given(p=hyperbolic_params(), frac=st.floats(0.0, 0.999999))

@@ -138,6 +138,12 @@ class TestParseCsv:
             (b'note,year,value\n"a,5,6,b",1,2\n', [1], [2], False),
             (b"year,value\n1,2,\n3,4, \n", [1, 3], [2, 4], False),
             (b"year,value,note\n1,2\n3,4,a\n", [1, 3], [2, 4], False),
+            (b"year,value\r\n1,2\n3,4\r\n", [1, 3], [2, 4], True),
+            (b"\xef\xbb\xbfyear,value\r\n1,2\r\n3,4\r\n", [1, 3], [2, 4], True),
+            (b'year,value\r\n1,"2"\r\n3,4\r\n', [1, 3], [2, 4], False),
+            (b"year,value\r\n1,2\r\n3,4\r", [1, 3], [2, 4], False),
+            (b"year,value\r\n1,2\r\r\n3,4\r\n", [1, 3], [2, 4], False),
+            (b"year,value,note\r\n1,2,\x1c5\r\n3,4,6\r\n", [1, 3], [2, 4], False),
         ],
         ids=[
             "crlf",
@@ -151,6 +157,12 @@ class TestParseCsv:
             "quoted_commas_before_year",
             "trailing_blank_fields",
             "row_shorter_than_header",
+            "mixed_lf_crlf",
+            "bom_crlf",
+            "crlf_quoted_cell",
+            "crlf_then_final_lone_cr",
+            "cr_cr_lf",
+            "crlf_separator_beside_number",
         ],
     )
     def test_file_layouts(self, tmp_path, data, years, values, bulk):
