@@ -206,7 +206,7 @@ def _segments_sse(t: np.ndarray, z: np.ndarray, w: np.ndarray, splits=()) -> flo
     """Summed residual squares of independent weighted lines on the slices between ``splits``."""
     bounds, total = [0, *splits, len(t)], 0.0
     for i, k in zip(bounds, bounds[1:]):  # left to right: sum() compensates from Python 3.12
-        total += _line_sse(t[i:k], z[i:k], w[i:k])[3]
+        total += _line_sse(t[i:k], z[i:k], w[i:k]).sse
     return total
 
 

@@ -18,6 +18,7 @@ original space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +31,29 @@ from .series import TimeSeries, _in_normal_range
 WEIGHTINGS = ("unweighted", "size_squared")
 
 
+class LineFit(NamedTuple):
+    """A weighted least-squares line z ~ intercept + slope*t and its sums: ``sw`` is the
+    weight sum, and ``t_mean`` and ``sxx`` the weighted mean and sum of w*(t' - t_mean)**2
+    of the years scaled exactly to t' = t * 2**-t_scale, so each |t'| < 1.
+    """
+
+    intercept: float
+    slope: float
+    residuals: np.ndarray
+    sse: float
+    sst: float
+    sw: float
+    t_mean: float
+    sxx: float
+    t_scale: int
+
+
 @dataclass(frozen=True)
 class HyperbolicFit:
     """A fitted trajectory plus reciprocal-space residual statistics.
 
-    ``residuals`` are per-point 1/y_i - (a - k*t_i); with an intercept in
-    the model their weighted sum is zero by construction.
+    ``residuals`` are per-point 1/y_i - (a - k*t_i), whose weighted sum the intercept makes
+    zero. ``line`` is the reciprocal line fitted to the values scaled exactly to y / 2**value_scale.
     """
 
     params: HyperbolicParams
@@ -44,6 +62,8 @@ class HyperbolicFit:
     r_squared_reciprocal: float
     n_points: int
     weighting: str
+    line: LineFit
+    value_scale: int
 
     @property
     def t_s(self) -> float:
@@ -85,8 +105,8 @@ def _reciprocal(series: TimeSeries, weighting: str) -> tuple[np.ndarray, np.ndar
     return 1.0 / y, (y**2 if weighting == "size_squared" else np.ones_like(y)), top
 
 
-def _line_sse(t: np.ndarray, z: np.ndarray, w: np.ndarray):
-    """Weighted least-squares line z ~ intercept + slope*t, with its residuals, SSE and SST.
+def _line_sse(t: np.ndarray, z: np.ndarray, w: np.ndarray) -> LineFit:
+    """Weighted least-squares line z ~ intercept + slope*t, with its residuals and sums.
 
     The normal equations are centred on the weighted mean of the years scaled by 2**-s
     into (-1, 1), so no year sum, offset or square overflows; the scaling is exact, so
@@ -94,13 +114,16 @@ def _line_sse(t: np.ndarray, z: np.ndarray, w: np.ndarray):
     """
     sw = w.sum()
     s = int(np.frexp(np.abs(t).max())[1])
-    tbar = (w * np.ldexp(t, -s)).sum() / sw
+    ts = np.ldexp(t, -s)
+    tbar = (w * ts).sum() / sw
     zbar = (w * z).sum() / sw
-    dt = np.ldexp(t, -s) - tbar
-    slope = np.ldexp((w * dt * (z - zbar)).sum() / (w * dt * dt).sum(), -s)
+    dt = ts - tbar
+    sxx = (w * dt * dt).sum()
+    slope = np.ldexp((w * dt * (z - zbar)).sum() / sxx, -s)
     intercept = zbar - slope * np.ldexp(tbar, s)
     r = z - (intercept + slope * t)
-    return intercept, slope, r, float((w * r**2).sum()), float((w * (z - zbar) ** 2).sum())
+    sse, sst = float((w * r**2).sum()), float((w * (z - zbar) ** 2).sum())
+    return LineFit(intercept, slope, r, sse, sst, sw, tbar, sxx, s)
 
 
 def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> HyperbolicFit:
@@ -111,10 +134,15 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
         raise InsufficientDataError(
             f"series {series.name!r}: need at least 3 points to fit, got {len(series)}"
         )
+    if series.values.min() == series.values.max():  # its fit would be rounding noise
+        raise FitRejectedError(
+            f"series {series.name!r}: every value is {series.values[0]:g}; "
+            f"data is not hyperbolic-growth-shaped"
+        )
     z, w, top = _reciprocal(series, weighting)
-    intercept, slope, residuals, sse, sst = _line_sse(series.years, z, w)
+    line = _line_sse(series.years, z, w)
     with np.errstate(over="ignore"):  # an overflowing estimate is rejected below
-        a_hat, k_hat = np.ldexp([intercept, -slope], -top).tolist()
+        a_hat, k_hat = np.ldexp([line.intercept, -line.slope], -top).tolist()
     try:
         params = HyperbolicParams(a=a_hat, k=k_hat)
     except ValueError:
@@ -124,11 +152,13 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
         ) from None
     return HyperbolicFit(
         params=params,
-        residuals=np.ldexp(residuals, -top),
-        rmse_reciprocal=float(np.ldexp(np.sqrt(sse / w.sum()), -top)),
-        r_squared_reciprocal=1.0 - sse / sst if sst > 0 else 1.0,
+        residuals=np.ldexp(line.residuals, -top),
+        rmse_reciprocal=float(np.ldexp(np.sqrt(line.sse / line.sw), -top)),
+        r_squared_reciprocal=1.0 - line.sse / line.sst if line.sst > 0 else 1.0,
         n_points=len(series),
         weighting=weighting,
+        line=line,
+        value_scale=top,
     )
 
 

@@ -841,6 +841,8 @@ FAILURES = [
     ("fit_rejected", ["fit", "{falling}"], 2, "FitRejectedError"),
     ("fit_span", ["fit", "{wide}"], 2, "FitRejectedError"),
     ("singularity_overflow", ["fit", "{far}"], 2, "FitRejectedError"),
+    # 123.4 at every year: a line fit's slope would be rounding noise (k = 3.8e-37 here).
+    ("fit_constant", ["fit", "{flat}", "--weighting", "size_squared"], 2, "FitRejectedError"),
     ("synth_domain", [*SYNTH_F, "--to", "2100"], 3, "DomainError"),
     ("unattainable_level", ["diagnose", *F_G_PARAMS, "--levels", "1.0"], 3, "NoSolutionError"),
     ("empty_grid", ["fit", "{f}", "--grid-from", "2000", "--grid-to", "1000"], 2, "ValidationError"),
@@ -988,6 +990,7 @@ class TestEveryFailurePath:
             "falling": tmp_path / "falling.csv",
             "wide": tmp_path / "wide.csv",
             "far": tmp_path / "far.csv",
+            "flat": tmp_path / "flat.csv",
             "tiny_f": tmp_path / "tiny_f.csv",
             "tiny_g": tmp_path / "tiny_g.csv",
             "huge_f": tmp_path / "huge_f.csv",
@@ -1018,6 +1021,7 @@ class TestEveryFailurePath:
             "lo": [(i, repr(1e-300 / (1 - 0.05 * i))) for i in range(5)],
             "n5": [(0, 1), (1, 100), (2, 100), (3, 100), (4, 100)],
             "d5": [(t, repr(1 / (20 - t))) for t in (2, 3, 4)],
+            "flat": [(t, 123.4) for t in range(1500, 1951, 15)],
         }.items():
             files[name].write_text("year,value\n" + "".join(f"{t},{v}\n" for t, v in rows))
         return {name: str(path) for name, path in files.items()}

@@ -27,6 +27,7 @@ from hypergrowth import (
     classify_shape,
     curves_vs_size,
     eval_ratio,
+    fit_hyperbolic,
     gradient_curve,
     growth_rate_curve,
     make_ratio,
@@ -388,9 +389,13 @@ class TestBreakTest:
         for seed in range(50):
             noise_rng = np.random.default_rng(seed)
             values = clean * np.exp(noise_rng.normal(0.0, 0.02, years.size))
-            result = break_test(TimeSeries(years=years, values=values), 1750.0)
+            series = TimeSeries(years=years, values=values)
+            result = break_test(series, 1750.0)
             assert result.sse_segmented <= result.sse_single * (1 + 1e-12)
             assert 0.0 <= result.p_value <= 1.0
+            # The single line is the unweighted fit's, in the same exactly scaled values.
+            fit = fit_hyperbolic(series)
+            assert result.sse_single == np.ldexp(fit.line.sse, -2 * fit.value_scale)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, np.nan])
     def test_alpha_outside_unit_interval(self, alpha):
@@ -552,10 +557,10 @@ class TestSegmentsSse:
         z = rng.uniform(1.0, 10.0, n)
         w = rng.uniform(0.1, 10.0, n)
         single = _segments_sse(t, z, w)
-        assert single == _line_sse(t, z, w)[3]
+        assert single == _line_sse(t, z, w).sse
         expected = 0.0  # added left to right on every Python, as the segment sums are
         for i, k in zip([0, *splits], [*splits, n]):
-            expected += _line_sse(t[i:k], z[i:k], w[i:k])[3]
+            expected += _line_sse(t[i:k], z[i:k], w[i:k]).sse
         assert _segments_sse(t, z, w, splits) == expected
         # nested: one split can only lower the residual sum, up to rounding
         assert _segments_sse(t, z, w, splits[:1]) <= single * (1 + 1e-12)

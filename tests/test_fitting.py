@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypergrowth import (
@@ -83,7 +83,8 @@ class TestFitHyperbolic:
         weighting=st.sampled_from(WEIGHTINGS),
     )
     def test_power_of_two_scale_equivariance(self, a, t_s, n, seed, j, weighting):
-        # Fitting c*y with c = 2**j gives exactly (a/c, k/c), rmse/c and the same r**2.
+        # Fitting c*y with c = 2**j gives exactly (a/c, k/c), rmse/c and the same r**2, from
+        # the same line on the same exactly scaled values.
         years = np.linspace(0.0, 0.9 * t_s, n)
         clean = 1.0 / (a - a / t_s * years)
         values = clean * np.exp(np.random.default_rng(seed).normal(0.0, 0.01, n))
@@ -97,6 +98,9 @@ class TestFitHyperbolic:
         assert scaled.rmse_reciprocal == base.rmse_reciprocal / c
         assert scaled.r_squared_reciprocal == base.r_squared_reciprocal
         assert np.array_equal(scaled.residuals, base.residuals / c)
+        for name, got in scaled.line._asdict().items():
+            assert np.asarray(got).tobytes() == np.asarray(getattr(base.line, name)).tobytes()
+        assert scaled.value_scale == base.value_scale + j
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -144,6 +148,23 @@ class TestFitHyperbolic:
         flat = TimeSeries(years=[0.0, 1.0, 2.0], values=[5.0, 5.0, 5.0])
         with pytest.raises(FitRejectedError):
             fit_hyperbolic(flat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        value=st.floats(1e-300, 1e300),
+        years=st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=40, unique=True),
+        weighting=st.sampled_from(WEIGHTINGS),
+    )
+    # A line fitted to 123.4 at these years has a slope of rounding noise: under size_squared
+    # it gives k = 3.8e-37, a positive k that HyperbolicParams would accept.
+    @example(value=123.4, years=list(range(1500, 1951, 15)), weighting="size_squared")
+    @example(value=123.4, years=list(range(1500, 1951, 15)), weighting="unweighted")
+    def test_rejects_every_constant_series(self, value, years, weighting):
+        flat = TimeSeries(sorted(years), np.full(len(years), value), name="flat")
+        with pytest.raises(FitRejectedError) as info:
+            fit_hyperbolic(flat, weighting)
+        message = f"series 'flat': every value is {value:g}; data is not hyperbolic-growth-shaped"
+        assert str(info.value) == message
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_singularity_time_that_overflows(self):
@@ -203,17 +224,27 @@ class TestLineKernel:
         w = rng.uniform(0.1, 10.0, n) if weighted else np.ones(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            intercept, slope, residuals, sse, _ = _line_sse(t, z, w)
+            line = _line_sse(t, z, w)
         # Oracle: least squares on sqrt(w)-scaled rows. The year column is scaled by an
         # exact power of two, or lstsq's rank cutoff drops the intercept column.
         e = int(np.frexp(np.abs(t).max())[1])
         design = np.sqrt(w)[:, None] * np.column_stack([np.ones(n), np.ldexp(t, -e)])
         rhs = np.sqrt(w) * z
         coef = np.linalg.lstsq(design, rhs, rcond=None)[0]
-        assert intercept == pytest.approx(coef[0], rel=1e-10, abs=0.0)
-        assert slope == pytest.approx(np.ldexp(coef[1], -e), rel=1e-10, abs=0.0)
-        assert sse == pytest.approx(float(((rhs - design @ coef) ** 2).sum()), rel=1e-10, abs=0.0)
-        assert sse == float((w * residuals**2).sum())
+        assert line.intercept == pytest.approx(coef[0], rel=1e-10, abs=0.0)
+        assert line.slope == pytest.approx(np.ldexp(coef[1], -e), rel=1e-10, abs=0.0)
+        sse = float(((rhs - design @ coef) ** 2).sum())
+        assert line.sse == pytest.approx(sse, rel=1e-10, abs=0.0)
+        assert line.sse == float((w * line.residuals**2).sum())
+        assert line.sw == w.sum()
+        assert line.t_scale == e
+        # The (intercept, slope) covariance in the scaled years, from the kernel's sums alone,
+        # is the oracle's sigma**2 * inv(D'D), to 1e-10 of its largest entry.
+        t_mean, sxx = line.t_mean, line.sxx
+        sums = [[1.0 / line.sw + t_mean**2 / sxx, -t_mean / sxx], [-t_mean / sxx, 1.0 / sxx]]
+        cov = line.sse / (n - 2) * np.array(sums)
+        oracle = line.sse / (n - 2) * np.linalg.inv(design.T @ design)
+        assert np.abs(cov - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 class TestFitRatio:
