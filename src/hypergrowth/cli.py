@@ -95,13 +95,14 @@ def _resolve_grid(args, series, *models: HyperbolicParams) -> np.ndarray:
 
 
 def _fit_summary(fit: HyperbolicFit) -> dict:
+    line = fit.line
     return {
         "a": fit.params.a,
         "k": fit.params.k,
         "t_s": fit.t_s,
-        "rmse_reciprocal": fit.rmse_reciprocal,
-        "r_squared_reciprocal": fit.r_squared_reciprocal,
-        "n_points": fit.n_points,
+        "rmse_reciprocal": float(np.ldexp(np.sqrt(line.sse / line.sw), -fit.value_scale)),
+        "r_squared_reciprocal": 1.0 - line.sse / line.sst if line.sst > 0 else 1.0,
+        "n_points": len(line.residuals),
         "weighting": fit.weighting,
     }
 
@@ -302,12 +303,16 @@ _SEED = _checked(int, lambda n: n >= 0, "non-negative")
 
 
 def _column(text: str) -> str:
-    """An argparse ``type`` for column names, which go into UTF-8 CSV headers."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:  # argv bytes that are not UTF-8 arrive as lone surrogates
-        raise argparse.ArgumentTypeError(f"must be UTF-8 text, got {ascii(text)}") from None
-    return text
+    """An argparse ``type`` for column names, which go into UTF-8 CSV headers that parse_csv
+    reads back: it drops a leading BOM and strips each cell, and a CR in a header ends its line."""
+    try:  # argv bytes that are not UTF-8 arrive as lone surrogates
+        if text.encode("utf-8").decode("utf-8-sig").strip() == text and "\r" not in text:
+            return text
+    except UnicodeEncodeError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be UTF-8 text without surrounding whitespace, a leading BOM or a CR, "
+        f"got {ascii(text)}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

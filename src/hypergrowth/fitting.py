@@ -50,17 +50,13 @@ class LineFit(NamedTuple):
 
 @dataclass(frozen=True)
 class HyperbolicFit:
-    """A fitted trajectory plus reciprocal-space residual statistics.
+    """A fitted trajectory and the reciprocal line it came from.
 
-    ``residuals`` are per-point 1/y_i - (a - k*t_i), whose weighted sum the intercept makes
-    zero. ``line`` is the reciprocal line fitted to the values scaled exactly to y / 2**value_scale.
+    ``line`` is the line fitted to 1/y' of the values scaled exactly to y' = y / 2**value_scale,
+    so ``np.ldexp(line.residuals, -value_scale)`` are the residuals 1/y_i - (a - k*t_i).
     """
 
     params: HyperbolicParams
-    residuals: np.ndarray
-    rmse_reciprocal: float
-    r_squared_reciprocal: float
-    n_points: int
     weighting: str
     line: LineFit
     value_scale: int
@@ -150,16 +146,7 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
             f"series {series.name!r}: reciprocal regression gave a={a_hat:.6g}, "
             f"k={k_hat:.6g}; data is not hyperbolic-growth-shaped"
         ) from None
-    return HyperbolicFit(
-        params=params,
-        residuals=np.ldexp(line.residuals, -top),
-        rmse_reciprocal=float(np.ldexp(np.sqrt(line.sse / line.sw), -top)),
-        r_squared_reciprocal=1.0 - line.sse / line.sst if line.sst > 0 else 1.0,
-        n_points=len(series),
-        weighting=weighting,
-        line=line,
-        value_scale=top,
-    )
+    return HyperbolicFit(params, weighting, line, top)
 
 
 def fit_ratio(

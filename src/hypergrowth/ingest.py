@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +181,8 @@ _POW10 = np.array([10**k for k in range(23)], dtype=float)
 _TIE_MARGIN = 1e-3
 _CHUNK_ROWS = 1 << 13
 _LEADS = np.array([b"0.000", b"0.00", b"0.0", b"0."]).view(np.uint8).reshape(4, 5)  # e = -4..-1
+# The four-digit ASCII groups "0000".."9999" as uint32 words; the copy is C-ordered.
+_DIGIT_WORDS = (np.indices([10] * 4, np.uint8).reshape(4, -1).T + 48).copy().view(np.uint32).ravel()
 # _format_json's half-widths 5**s and its separator.
 _POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
 _JSON_SEP = np.frombuffer(b",\n    ", np.uint8)
@@ -191,13 +192,6 @@ def _scaled(a, e):
     """``a * 10**(11 - e)`` with one rounding, for e in [-11, 33]."""
     k = np.clip(11 - e, -22, 22)
     return a * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
-
-
-@cache
-def _digit_words():
-    """The four-digit ASCII groups "0000".."9999" as uint32 words."""
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48
-    return digits.copy().view(np.uint32).ravel()  # the copy is C-ordered
 
 
 def _format_rows(x) -> bytes:
@@ -295,10 +289,9 @@ def _lay_out(x, ok, m, e, width, fixed_end, point_zero, seps, fallback) -> bytes
     d.ddde±dd, into a slot, NUL where unused: the sign, the "0.000" of e < 0,
     digit j at 6 + 2j and a point at 7 + 2j, "e±dd", the separator.
     fallback(v) writes cells not ok."""
-    words = _digit_words()
     groups = -(-width // 4)
     q = [0] + [m // 10 ** (4 * g) for g in range(groups - 1, -1, -1)]  # no slow %
-    quads = np.take(words, np.stack([b - a * 10**4 for a, b in zip(q, q[1:])], axis=-1))
+    quads = np.take(_DIGIT_WORDS, np.stack([b - a * 10**4 for a, b in zip(q, q[1:])], axis=-1))
     digits = quads.view(np.uint8)[..., 4 * groups - width :]
     last = width - 1 - np.argmax(digits[..., ::-1] != 48, axis=-1)  # last nonzero digit
     expo = (e < -4) | (e >= fixed_end)
@@ -317,7 +310,7 @@ def _lay_out(x, ok, m, e, width, fixed_end, point_zero, seps, fallback) -> bytes
     cells[dot, 7 + 2 * point.ravel()[dot]] = 46
     lead = ~expo & (e < 0)  # "0." and up to three zeros before the digits
     cells[lead.ravel(), 1:6] = np.take(_LEADS, e[lead] + 4, axis=0)
-    exps = np.take(words, np.abs(e[expo])).view(np.uint8).reshape(-1, 4)  # "00dd"
+    exps = np.take(_DIGIT_WORDS, np.abs(e[expo])).view(np.uint8).reshape(-1, 4)  # "00dd"
     exps[:, 0], exps[:, 1] = 101, np.where(e[expo] < 0, 45, 43)  # "e-dd", "e+dd"
     cells[expo.ravel(), tail : tail + 4] = exps
     cells[~ok.ravel(), : tail + 4] = np.array(

@@ -13,7 +13,14 @@ with contextlib.suppress(ImportError), warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
+from hypothesis import settings
+
 from hypergrowth import HyperbolicParams, make_ratio
+
+# The tests make no timing assertion, so no example has a deadline. Re-registering the
+# active profile reloads it, and every @settings decorator inherits from it. (Under CI,
+# Hypothesis loads its "ci" profile, which has no deadline either.)
+settings.register_profile("default", settings.get_profile("default"), deadline=None)
 
 # The two synthetic parameter sets used throughout: singularities near
 # 2045.45 and 2089.55, ratio escalating toward the earlier one.

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hypergrowth
-from hypergrowth import HyperbolicParams, synthesize, write_csv
-from hypergrowth.cli import MAX_GRID_POINTS, build_parser, main
+from hypergrowth import HyperbolicParams, TimeSeries, parse_csv, synthesize, write_csv
+from hypergrowth.cli import MAX_GRID_POINTS, _column, build_parser, main
 
 from conftest import F_PARAMS, G_PARAMS
 
@@ -658,11 +661,14 @@ class TestParseTimeValidation:
 
     @pytest.mark.parametrize("flag", ["--year-col", "--value-col"])
     def test_column_name_not_utf8(self, tmp_path, capsys, flag):
-        # Undecodable argv bytes arrive as lone surrogates, which no UTF-8
-        # header can hold.
-        argv = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "10",
-                flag, "\udcff", "--out", str(tmp_path / "out" / "s.csv")]
-        self.assert_rejected(tmp_path, capsys, argv, flag)
+        # Undecodable argv bytes arrive as lone surrogates, which no UTF-8 header can hold.
+        # parse_csv strips header cells and drops a leading BOM, and an unquoted CR ends the
+        # header line, so a name these change could be written but not read back.
+        synth = ["synth", "--a", "4.5", "--k", "2.2e-3", "--from", "0", "--to", "10",
+                 "--out", str(tmp_path / "out" / "s.csv")]
+        for name in ["\udcff", " y", "v\t", "\ufeffy", "a\rb"]:
+            for argv in (synth, ["fit", "f.csv"]):
+                self.assert_rejected(tmp_path, capsys, [*argv, flag, name], flag)
 
     @pytest.mark.parametrize("argv, dest, value", [
         (["fit", "f.csv", "--window", "-1e3", "2000"], "window", [-1000.0, 2000.0]),
@@ -713,6 +719,28 @@ class TestParseTimeValidation:
         )
         assert code == 0
         assert len((tmp_path / "gradient_curve.csv").read_text().splitlines()) == 3
+
+
+def _accepted(name):
+    try:
+        return _column(name) == name
+    except argparse.ArgumentTypeError:
+        return False
+
+
+@settings(max_examples=1000)
+@given(names=st.lists(st.text(st.characters(exclude_characters="\0")), min_size=2, max_size=2,
+                      unique=True))
+def test_accepted_column_names_read_back(tmp_path_factory, names):
+    # argv cannot carry a NUL. Every name _column accepts reads back from the header
+    # write_csv gives it.
+    assume(all(map(_accepted, names)))
+    path = tmp_path_factory.getbasetemp() / "columns.csv"
+    series = TimeSeries(years=[1500.0, 1600.0, 1700.0], values=[0.5, 0.75, 1.25])
+    write_csv(series, path, *names)
+    got = parse_csv(path, *names)
+    assert got.years.tobytes() == series.years.tobytes()
+    assert got.values.tobytes() == series.values.tobytes()
 
 
 class TestExtremeFlagValues:

@@ -89,7 +89,7 @@ class TestSingularityTime:
 
 
 @given(p=hyperbolic_params(), frac=st.floats(0.0, 0.999999))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_reciprocal_identity(p, frac):
     # eval * reciprocal == 1 everywhere below the guard
     t = p.singularity_time * frac
@@ -97,7 +97,7 @@ def test_reciprocal_identity(p, frac):
 
 
 @given(p=hyperbolic_params(), offset=st.floats(1.0, 2000.0))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_inverse_round_trip(p, offset):
     # the closed-form inverse a/k - 1/(k*f) recovers t from the trajectory value
     t = p.singularity_time - offset
@@ -106,7 +106,7 @@ def test_inverse_round_trip(p, offset):
 
 
 @given(p=hyperbolic_params(), offset=st.floats(1.0, 2000.0))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_derivatives_match_finite_differences(p, offset):
     # the trajectory obeys the hyperbolic growth law f' = k*f**2, so f'/f = k*f
     t = p.singularity_time - offset
@@ -125,7 +125,7 @@ def test_derivatives_match_finite_differences(p, offset):
     frac1=st.floats(0.0, 0.9999),
     frac2=st.floats(0.0, 0.9999),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_strict_monotonicity(p, frac1, frac2):
     lo, hi = sorted((frac1, frac2))
     t1 = p.singularity_time * lo

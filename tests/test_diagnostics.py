@@ -169,7 +169,7 @@ def extreme_params():
     return st.builds(lambda ea, ek: (10.0 ** ea, 10.0 ** ek), exponent, exponent)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(f=extreme_params(), g=extreme_params(), far=st.floats(0.0, 308.0),
        multiples=st.lists(st.sampled_from([0.5, 0.9, 1.1, 2.0, 1e3]), max_size=3, unique=True))
 def test_model_curves_are_normal_or_refused(f, g, far, multiples):
@@ -275,7 +275,7 @@ NEAR_PROPORTIONAL = make_ratio(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(m=shape_models(), start=st.floats(-1e4, -1.0), frac=st.floats(0.0, 1.0),
        points=st.integers(2, 64))
 @example(m=NEAR_PROPORTIONAL, start=-1.0, frac=1.0, points=512)
@@ -457,7 +457,7 @@ class TestBreakTest:
         assert all(1e260 < s < 1e280 for s in (result.sse_single, result.sse_segmented))  # ~5e270
 
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         seed=st.integers(0, 2**32 - 1),
         j=st.integers(-1000, 1000),
@@ -545,7 +545,7 @@ class TestFSurvival:
 
 
 class TestSegmentsSse:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         lengths=st.lists(st.integers(3, 12), min_size=1, max_size=4),
         seed=st.integers(0, 2**32 - 1),

@@ -21,26 +21,36 @@ from hypergrowth import (
     predict,
     synthesize,
 )
+from hypergrowth.cli import _fit_summary
 from hypergrowth.fitting import WEIGHTINGS, _line_sse
 
-from conftest import F_PARAMS, G_PARAMS, random_params
+from conftest import F_PARAMS, G_PARAMS, SEED, random_params
 
 SAMPLE_YEARS = np.array([0.0, 500.0, 1000.0, 1500.0, 1900.0, 2000.0])
+#: Maddison-style benchmark years: sparse before 1950, then every 2.5 years to 2000.
+MADDISON_YEARS = np.array([0.0, 1000.0, 1500.0, 1600.0, 1700.0, 1820.0, 1870.0, 1890.0, 1913.0,
+                           1929.0, *np.arange(1950.0, 2001.0, 2.5)])
 
 
 def noiseless(params, years=SAMPLE_YEARS, name="synthetic"):
     return synthesize(params, years, name=name)
 
 
+def residuals(fit):
+    """Per-point reciprocal residuals 1/y_i - (a - k*t_i) of a fit."""
+    return np.ldexp(fit.line.residuals, -fit.value_scale)
+
+
 class TestFitHyperbolic:
     def test_exact_recovery(self):
         fit = fit_hyperbolic(noiseless(F_PARAMS))
+        report = _fit_summary(fit)
         assert fit.params.a == pytest.approx(4.5, rel=1e-10)
         assert fit.params.k == pytest.approx(2.2e-3, rel=1e-10)
-        assert fit.rmse_reciprocal < 1e-14
-        assert fit.r_squared_reciprocal == pytest.approx(1.0, abs=1e-12)
+        assert report["rmse_reciprocal"] < 1e-14
+        assert report["r_squared_reciprocal"] == pytest.approx(1.0, abs=1e-12)
         assert fit.t_s == pytest.approx(F_PARAMS.singularity_time, rel=1e-10)
-        assert fit.n_points == 6
+        assert report["n_points"] == 6
 
     def test_exact_recovery_random_cases(self):
         rng = np.random.default_rng(20260810)
@@ -67,13 +77,13 @@ class TestFitHyperbolic:
         series = synthesize(F_PARAMS, years, noise_sigma=0.02, seed=9)
         fit = fit_hyperbolic(series)
         z = 1.0 / series.values
-        assert abs(fit.residuals.sum()) < 1e-9 * np.max(np.abs(z))
+        assert abs(residuals(fit).sum()) < 1e-9 * np.max(np.abs(z))
         # weighted fit zeroes the weighted residual sum instead
         wfit = fit_hyperbolic(series, weighting="size_squared")
         w = series.values**2
-        assert abs((w * wfit.residuals).sum()) < 1e-9 * np.max(np.abs(w * z))
+        assert abs((w * residuals(wfit)).sum()) < 1e-9 * np.max(np.abs(w * z))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         a=st.floats(1e-2, 1e2),
         t_s=st.floats(500.0, 5000.0),
@@ -95,14 +105,14 @@ class TestFitHyperbolic:
         c = 2.0**j
         assert scaled.params.a == base.params.a / c
         assert scaled.params.k == base.params.k / c
-        assert scaled.rmse_reciprocal == base.rmse_reciprocal / c
-        assert scaled.r_squared_reciprocal == base.r_squared_reciprocal
-        assert np.array_equal(scaled.residuals, base.residuals / c)
+        scaled_report, base_report = _fit_summary(scaled), _fit_summary(base)
+        assert scaled_report["rmse_reciprocal"] == base_report["rmse_reciprocal"] / c
+        assert scaled_report["r_squared_reciprocal"] == base_report["r_squared_reciprocal"]
         for name, got in scaled.line._asdict().items():
             assert np.asarray(got).tobytes() == np.asarray(getattr(base.line, name)).tobytes()
         assert scaled.value_scale == base.value_scale + j
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         a=st.floats(1e-2, 1e2),
         t_s=st.floats(500.0, 5000.0),
@@ -125,7 +135,27 @@ class TestFitHyperbolic:
         a0, k0 = base.params.a, base.params.k
         assert shifted.params.k == pytest.approx(k0, rel=1e-12, abs=0.0)
         assert abs(shifted.params.a - (a0 + k0 * tau)) <= 1e-12 * (abs(a0) + abs(k0 * tau))
-        assert shifted.r_squared_reciprocal == pytest.approx(base.r_squared_reciprocal, abs=1e-12)
+        assert _fit_summary(shifted)["r_squared_reciprocal"] == pytest.approx(
+            _fit_summary(base)["r_squared_reciprocal"], abs=1e-12)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("years", [np.linspace(1500.0, 1950.0, 31), MADDISON_YEARS],
+                             ids=["linspace", "maddison"])
+    def test_report_matches_lstsq_oracle(self, years, weighting):
+        # The report's rmse and r**2 against least squares on the sqrt(w)-scaled rows of
+        # [1, t - mean(t)] against z = 1/y, with w = 1 or y**2.
+        for seed in range(SEED, SEED + 50):
+            series = synthesize(F_PARAMS, years, noise_sigma=0.02, seed=seed)
+            report = _fit_summary(fit_hyperbolic(series, weighting))
+            y = series.values
+            z, w = 1.0 / y, y**2 if weighting == "size_squared" else np.ones_like(y)
+            design = np.column_stack([np.ones_like(years), years - years.mean()])
+            coef = np.linalg.lstsq(np.sqrt(w)[:, None] * design, np.sqrt(w) * z, rcond=None)[0]
+            wsse = (w * (z - design @ coef) ** 2).sum()
+            wsst = (w * (z - (w * z).sum() / w.sum()) ** 2).sum()
+            rmse = np.sqrt(wsse / w.sum())
+            assert report["rmse_reciprocal"] == pytest.approx(rmse, rel=1e-10, abs=0.0)
+            assert report["r_squared_reciprocal"] == pytest.approx(1.0 - wsse / wsst, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
@@ -149,7 +179,7 @@ class TestFitHyperbolic:
         with pytest.raises(FitRejectedError):
             fit_hyperbolic(flat)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         value=st.floats(1e-300, 1e300),
         years=st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=40, unique=True),
@@ -204,7 +234,7 @@ class TestFitHyperbolic:
 
 
 class TestLineKernel:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         n=st.integers(3, 40),
         decades=st.integers(0, 307),

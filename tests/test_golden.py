@@ -166,7 +166,7 @@ def tables(draw):
 
 
 @given(table=tables())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_bulk_writers_match_per_cell_oracle(table):
     header, columns = table
     with tempfile.TemporaryDirectory() as scratch:

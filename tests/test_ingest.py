@@ -512,7 +512,7 @@ def _row_years(text):
 
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given(text=_csv_texts(), name=st.sampled_from(["gdp", "ünïcode"]))
 def test_parse_matches_row_by_row_reference(text, name):
     """Same series or same error as the reference, wherever every year is finite."""
@@ -560,7 +560,7 @@ def _plain_csv_texts(draw):
 
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(text=_plain_csv_texts(), name=st.sampled_from(["gdp", "ünïcode"]))
 def test_plain_text_skips_row_loop(text, name):
     """Well-formed text is read in bulk, with the reference's series or error."""
@@ -593,7 +593,7 @@ def _plain_bodies(draw):
 
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(text=_plain_bodies(), name=st.sampled_from(["gdp", "ünïcode"]))
 def test_plain_bodies_match_row_by_row_reference(text, name):
     """Bodies the bulk reader may take: the reference's series bitwise, or its error."""
@@ -683,7 +683,7 @@ _BITS = st.integers(0, 2**64 - 1) | st.floats(1e-12, 1e35).map(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     bits=st.lists(_BITS, min_size=1, max_size=40),
     n_cols=st.integers(1, 4),
@@ -847,7 +847,7 @@ _JSON_BITS = st.integers(0, 2**64 - 1) | st.floats(1e-7, 1e17).map(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     bits=st.lists(_JSON_BITS, min_size=1, max_size=40),
     n_cols=st.integers(1, 2),

@@ -192,7 +192,7 @@ class TestClassifyShape:
 
 
 @given(m=ratio_models(), frac=st.floats(-1.0, 0.999999))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_three_pathway_identity(m, frac):
     t = valid_time(m, frac)
     values = [eval_ratio(m, t, pathway) for pathway in PATHWAYS]
@@ -201,7 +201,7 @@ def test_three_pathway_identity(m, frac):
 
 
 @given(m=ratio_models(), frac=st.floats(0.0, 0.999))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_reciprocal_closure(m, frac):
     t = valid_time(m, frac)
     swapped = make_ratio(m.g, m.f)
@@ -209,7 +209,7 @@ def test_reciprocal_closure(m, frac):
 
 
 @given(m=ratio_models(), frac=st.floats(0.0, 0.99))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_gradient_matches_finite_difference(m, frac):
     t = valid_time(m, frac)
     h = min(finite_difference_step(m.f, t), finite_difference_step(m.g, t))
@@ -226,7 +226,7 @@ def test_gradient_matches_finite_difference(m, frac):
 
 
 @given(m=ratio_models(), frac=st.floats(0.0, 0.999))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_time_at_ratio_round_trip(m, frac):
     # nearly coincident singularities make the crossing ill-conditioned in
     # float arithmetic (the ratio is then almost flat); require a year apart
