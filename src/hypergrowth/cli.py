@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import HyperbolicParams, last_guarded_time
 from .diagnostics import (
-    ABSCISSA_NAMES,
     DEFAULT_BREAK_CANDIDATES,
     INDUSTRIAL_REVOLUTION_WINDOW,
     DiagnosticsCurve,
@@ -131,7 +130,7 @@ def _write_table(out_dir: Path, stem: str, header: list[str], columns, fmt: str)
 
 def _curve_table(stem: str, curve: DiagnosticsCurve) -> tuple:
     """A curve's (stem, header, columns): its abscissa, then its values."""
-    return stem, [ABSCISSA_NAMES[curve.abscissa_kind], curve.quantity], [curve.x, curve.values]
+    return stem, [curve.x_name, curve.quantity], [curve.x, curve.values]
 
 
 def _write_json(path: Path, parts) -> None:
@@ -191,8 +190,8 @@ def cmd_ratio(args) -> tuple[dict, dict]:
     rfit, pair, fits = _fit_pair(args, args.numerator, args.denominator)
     model = rfit.model
     grid = _resolve_grid(args, pair, model.f, model.g)
-    curve = _model_curve(model, "time", "value", grid, eval_ratio(model, grid))
-    residuals = rfit.residuals
+    curve = _model_curve(model, "year", "value", grid, eval_ratio(model, grid))
+    residuals = rfit.observed_ratio - rfit.predicted_ratio
     max_abs = np.max(np.abs(residuals))
     top = np.frexp(max_abs)[1]  # each r / 2**top is below 1 in size, so its square is finite
     sections = {

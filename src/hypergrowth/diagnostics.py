@@ -25,10 +25,6 @@ from .ratio import RatioModel, Shape, classify_shape, time_at_ratio
 from .ratio import ratio_gradient, ratio_growth_rate
 from .series import TimeSeries, _first_fault, _frozen_array, _in_normal_range
 
-#: Each abscissa kind and its name in curve headers and messages.
-ABSCISSA_NAMES = {"time": "year", "ratio_size": "ratio_size"}
-QUANTITIES = ("gradient", "growth_rate", "value")
-
 #: Candidate regime-boundary years commonly claimed in the growth literature.
 DEFAULT_BREAK_CANDIDATES = (1750.0, 1870.0)
 
@@ -51,20 +47,16 @@ class BreakDecision(str, enum.Enum):
 class DiagnosticsCurve:
     """A sampled curve for plot emission, checked as a series is but with values of any sign."""
 
-    abscissa_kind: str
-    quantity: str
+    x_name: str  # the abscissa's column header, "year" or "ratio_size"
+    quantity: str  # the values' column header
     x: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if self.abscissa_kind not in ABSCISSA_NAMES:
-            raise ValueError(f"abscissa_kind must be one of {tuple(ABSCISSA_NAMES)}")
-        if self.quantity not in QUANTITIES:
-            raise ValueError(f"quantity must be one of {QUANTITIES}")
         x, values = _frozen_array(self.x), _frozen_array(self.values)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
-        fault = _first_fault(x, values, ABSCISSA_NAMES[self.abscissa_kind], positive=False)
+        fault = _first_fault(x, values, self.x_name, positive=False)
         if fault is not None:
             raise ValidationError(f"ratio {self.quantity} curve: {fault[1]}")
 
@@ -100,31 +92,31 @@ class TakeoffScanEntry:
     error: str | None = None
 
 
-def _model_curve(m: RatioModel, abscissa_kind: str, quantity: str, x, values) -> DiagnosticsCurve:
+def _model_curve(m: RatioModel, x_name: str, quantity: str, x, values) -> DiagnosticsCurve:
     """A curve evaluated from ``m``, refused where a value leaves float64's normal range.
 
     Unless ``classify_shape`` calls the model constant, no value, gradient or growth rate
     is 0 on the domain: a value below the smallest normal float is an underflow hiding C's sign.
     """
-    curve = DiagnosticsCurve(abscissa_kind, quantity, x, values)
+    curve = DiagnosticsCurve(x_name, quantity, x, values)
     small = ~_in_normal_range(curve.values)
     if classify_shape(m) is not Shape.CONSTANT and small.any():
         i = int(np.argmax(small))
         raise ValidationError(
-            f"ratio {quantity} {curve.values[i]:g} at {ABSCISSA_NAMES[abscissa_kind]} "
-            f"{curve.x[i]:g} underflows float64 (smallest normal {np.finfo(float).tiny:g})"
+            f"ratio {quantity} {curve.values[i]:g} at {x_name} {curve.x[i]:g} "
+            f"underflows float64 (smallest normal {np.finfo(float).tiny:g})"
         )
     return curve
 
 
 def gradient_curve(m: RatioModel, grid) -> DiagnosticsCurve:
     """Sample the ratio's gradient over a strictly increasing time grid."""
-    return _model_curve(m, "time", "gradient", grid, ratio_gradient(m, grid))
+    return _model_curve(m, "year", "gradient", grid, ratio_gradient(m, grid))
 
 
 def growth_rate_curve(m: RatioModel, grid) -> DiagnosticsCurve:
     """Sample the ratio's growth rate over a strictly increasing time grid."""
-    return _model_curve(m, "time", "growth_rate", grid, ratio_growth_rate(m, grid))
+    return _model_curve(m, "year", "growth_rate", grid, ratio_growth_rate(m, grid))
 
 
 def curves_vs_size(m: RatioModel, levels) -> tuple[DiagnosticsCurve, DiagnosticsCurve]:
@@ -184,7 +176,7 @@ def series_growth_rate(series: TimeSeries) -> DiagnosticsCurve:
             f"series {series.name!r}: the growth rate at year {t[i]:g} spans years or a "
             f"value ratio outside float64's normal range"
         )
-    return DiagnosticsCurve("time", "growth_rate", t[1:-1], rate)
+    return DiagnosticsCurve("year", "growth_rate", t[1:-1], rate)
 
 
 def f_survival(f_stat: float, q: int, df_den: float) -> float:

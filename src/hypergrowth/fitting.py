@@ -71,8 +71,8 @@ class HyperbolicFit:
 class RatioFit:
     """A ratio model assembled from two independently fitted series.
 
-    Residuals compare the observed numerator/denominator quotient against
-    the model ratio, on common years inside the model's valid domain.
+    ``observed_ratio - predicted_ratio`` are its residuals: the observed numerator/denominator
+    quotient against the model ratio, on common years inside the model's valid domain.
     """
 
     model: RatioModel
@@ -81,7 +81,6 @@ class RatioFit:
     common_years: np.ndarray
     observed_ratio: np.ndarray
     predicted_ratio: np.ndarray
-    residuals: np.ndarray
 
 
 def _reciprocal(series: TimeSeries, weighting: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -130,12 +129,12 @@ def fit_hyperbolic(series: TimeSeries, weighting: str = "unweighted") -> Hyperbo
         raise InsufficientDataError(
             f"series {series.name!r}: need at least 3 points to fit, got {len(series)}"
         )
-    if series.values.min() == series.values.max():  # its fit would be rounding noise
+    z, w, top = _reciprocal(series, weighting)
+    if z.min() == z.max():  # one reciprocal for every value: the line's slope is rounding noise
         raise FitRejectedError(
             f"series {series.name!r}: every value is {series.values[0]:g}; "
             f"data is not hyperbolic-growth-shaped"
         )
-    z, w, top = _reciprocal(series, weighting)
     line = _line_sse(series.years, z, w)
     with np.errstate(over="ignore"):  # an overflowing estimate is rejected below
         a_hat, k_hat = np.ldexp([line.intercept, -line.slope], -top).tolist()
@@ -195,7 +194,6 @@ def fit_ratio(
         common_years=common,
         observed_ratio=observed,
         predicted_ratio=predicted,
-        residuals=observed - predicted,
     )
 
 

@@ -871,6 +871,9 @@ FAILURES = [
     ("singularity_overflow", ["fit", "{far}"], 2, "FitRejectedError"),
     # 123.4 at every year: a line fit's slope would be rounding noise (k = 3.8e-37 here).
     ("fit_constant", ["fit", "{flat}", "--weighting", "size_squared"], 2, "FitRejectedError"),
+    # Two values with one reciprocal, 0.5000000000000001: their line is a constant too.
+    ("fit_one_reciprocal", ["fit", "{one_reciprocal}", "--weighting", "size_squared"],
+     2, "FitRejectedError"),
     ("synth_domain", [*SYNTH_F, "--to", "2100"], 3, "DomainError"),
     ("unattainable_level", ["diagnose", *F_G_PARAMS, "--levels", "1.0"], 3, "NoSolutionError"),
     ("empty_grid", ["fit", "{f}", "--grid-from", "2000", "--grid-to", "1000"], 2, "ValidationError"),
@@ -1019,6 +1022,7 @@ class TestEveryFailurePath:
             "wide": tmp_path / "wide.csv",
             "far": tmp_path / "far.csv",
             "flat": tmp_path / "flat.csv",
+            "one_reciprocal": tmp_path / "one_reciprocal.csv",
             "tiny_f": tmp_path / "tiny_f.csv",
             "tiny_g": tmp_path / "tiny_g.csv",
             "huge_f": tmp_path / "huge_f.csv",
@@ -1040,6 +1044,9 @@ class TestEveryFailurePath:
         files["wide"].write_text("year,value\n0,1e-200\n1,1e-100\n2,1\n3,1e100\n4,1e200\n")
         # a and k fit (k is 25/26 * 1e-308), but t_s = a/k overflows float64
         files["far"].write_text("year,value\n1e308,1\n1.5e308,2\n1.7e308,3\n")
+        files["one_reciprocal"].write_text(
+            "year,value\n1500,1.9999999999999996\n1515,1.9999999999999998\n"
+            "1530,1.9999999999999998\n1545,1.9999999999999996\n")
         for name, rows in {
             "tiny_f": [(t, repr(1e-200 / (1 - t))) for t in (0, 0.1, 0.2, 0.3, 0.4)],
             "tiny_g": [(t, repr(1e-200 / (1 - 0.1 * t))) for t in (0, 0.1, 0.2, 0.3, 0.4)],
@@ -1206,6 +1213,34 @@ def test_program_run_matches_in_process_main(tmp_path, monkeypatch, capsysbinary
         runs[side] = stdout, files
     assert [code for code, _ in runs["main"][0]] == [0, 0, 0]
     assert runs["program"] == runs["main"]
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "f.csv"],
+    ["ratio", "f.csv", "g.csv"],
+    ["diagnose", "--gdp", "f.csv", "--pop", "g.csv", "--series", "s.csv",
+     "--levels", "1.6", "1.8", "2.0"],
+    ["diagnose", *F_G_PARAMS, "--levels", "1.6", "1.8", "2.0"],
+], ids=["fit", "ratio", "diagnose_pair", "diagnose_params"])
+def test_json_tables_hold_the_csv_tables(tmp_path, monkeypatch, capsys, command):
+    """Each --format json table has its CSV table's header as keys, and its cells at 12 digits."""
+    for seed, (name, params) in enumerate([("f.csv", F_PARAMS), ("g.csv", G_PARAMS),
+                                           ("s.csv", F_PARAMS)]):
+        synth_file(tmp_path, name, params, noise=0.01, seed=seed)
+    monkeypatch.chdir(tmp_path)
+    artifacts = {}
+    for fmt in ("csv", "json"):
+        capsys.readouterr()
+        assert main([*command, "--format", fmt, "--grid-points", "64", "--out-dir", fmt]) == 0
+        artifacts[fmt] = json.loads(capsys.readouterr().out)["artifacts"]
+    assert artifacts["csv"].keys() == artifacts["json"].keys()
+    for key, name in artifacts["csv"].items():
+        header, *rows = (tmp_path / "csv" / name).read_text().splitlines()
+        table = json.loads((tmp_path / "json" / artifacts["json"][key]).read_text())
+        assert list(table) == sorted(header.split(","))
+        for i, column in enumerate(header.split(",")):
+            assert [float(format(v, ".12g")) for v in table[column]] == [
+                float(row.split(",")[i]) for row in rows]
 
 
 @pytest.mark.skipif(shutil.which("hypergrowth") is None, reason="entry point not installed")

@@ -57,7 +57,7 @@ def kinked_reciprocal_series(years, seed=7, sigma=0.005, name="control"):
 class TestCurves:
     def test_gradient_single_point(self, escalating_model):
         curve = gradient_curve(escalating_model, [0.0])
-        assert curve.abscissa_kind == "time"
+        assert curve.x_name == "year"
         assert curve.quantity == "gradient"
         assert curve.values[0] == pytest.approx(3.25e-4 / 20.25, rel=1e-10)
 
@@ -86,20 +86,15 @@ class TestCurves:
 
 
 class TestDiagnosticsCurve:
-    @pytest.mark.parametrize("kind, quantity", [("space", "gradient"), ("time", "level")])
-    def test_unknown_kind_or_quantity(self, kind, quantity):
-        with pytest.raises(ValueError, match="must be one of"):
-            DiagnosticsCurve(kind, quantity, [0.0, 1.0], [1.0, 2.0])
-
     def test_lengths_must_match(self):
         with pytest.raises(ValidationError) as info:
-            DiagnosticsCurve("time", "value", [0.0, 1.0], [1.0])
+            DiagnosticsCurve("year", "value", [0.0, 1.0], [1.0])
         assert str(info.value) == "ratio value curve: 2 years but 1 values"
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_value_names_quantity_and_year(self, value):
         with pytest.raises(ValidationError) as info:
-            DiagnosticsCurve("time", "gradient", [0.0, 1.0, 2.0], [1.0, value, value])
+            DiagnosticsCurve("year", "gradient", [0.0, 1.0, 2.0], [1.0, value, value])
         assert str(info.value) == f"ratio gradient curve: non-finite value {value:g} at year 1"
 
     @pytest.mark.parametrize("x, message", [
@@ -208,7 +203,7 @@ class TestMonotonicityCheck:
         assert result.first_violation is None
 
     def test_tie_is_non_monotone_at_index_one(self):
-        curve = DiagnosticsCurve("time", "value", [0.0, 1.0], [1.0, 1.0])
+        curve = DiagnosticsCurve("year", "value", [0.0, 1.0], [1.0, 1.0])
         result = monotonicity_check(curve)
         assert result.verdict is Monotonicity.NON_MONOTONE
         assert result.first_violation == 1
@@ -239,19 +234,19 @@ class TestMonotonicityCheck:
         assert result.first_violation == 1
 
     def test_rise_then_fall_reports_first_fall(self):
-        curve = DiagnosticsCurve("time", "value", [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 2.5])
+        curve = DiagnosticsCurve("year", "value", [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 2.5])
         result = monotonicity_check(curve)
         assert result.verdict is Monotonicity.NON_MONOTONE
         assert result.first_violation == 3
 
     def test_fall_then_rise_reports_first_rise(self):
-        curve = DiagnosticsCurve("time", "value", [0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 1.5])
+        curve = DiagnosticsCurve("year", "value", [0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 1.5])
         result = monotonicity_check(curve)
         assert result.verdict is Monotonicity.NON_MONOTONE
         assert result.first_violation == 3
 
     def test_single_sample_rejected(self):
-        curve = DiagnosticsCurve("time", "value", [0.0], [1.0])
+        curve = DiagnosticsCurve("year", "value", [0.0], [1.0])
         with pytest.raises(InsufficientDataError):
             monotonicity_check(curve)
 

@@ -1,5 +1,7 @@
+import dataclasses
 import os
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypergrowth import (
     DomainError,
     FitRejectedError,
     InsufficientDataError,
+    RatioFit,
     Shape,
     TimeSeries,
     UnrepresentableError,
@@ -196,6 +199,25 @@ class TestFitHyperbolic:
         message = f"series 'flat': every value is {value:g}; data is not hyperbolic-growth-shaped"
         assert str(info.value) == message
 
+    @settings(max_examples=200)
+    @given(
+        j=st.integers(-1000, 1000),
+        pattern=st.lists(st.booleans(), min_size=3, max_size=40).filter(lambda p: len(set(p)) == 2),
+        weighting=st.sampled_from(WEIGHTINGS),
+    )
+    # 1.9999999999999996 and the float above it share the reciprocal 0.5000000000000001, at
+    # every power-of-two scale: their line is a constant, and under size_squared this pattern's
+    # slope of rounding noise gave k = 3.5e-34, a positive k that HyperbolicParams would accept.
+    @example(j=0, pattern=[False, True, True, False], weighting="size_squared")
+    def test_rejects_values_with_one_reciprocal(self, j, pattern, weighting):
+        values = np.ldexp([1.9999999999999996, 1.9999999999999998], j)[np.array(pattern, int)]
+        series = TimeSeries(1500.0 + 15.0 * np.arange(len(pattern)), values, name="pair")
+        assert values.min() < values.max()
+        with pytest.raises(FitRejectedError) as info:
+            fit_hyperbolic(series, weighting)
+        assert str(info.value) == (
+            f"series 'pair': every value is {values[0]:g}; data is not hyperbolic-growth-shaped")
+
     @pytest.mark.filterwarnings("error")
     def test_rejects_singularity_time_that_overflows(self):
         # a and k are finite and positive, but t_s = a/k overflows float64.
@@ -242,6 +264,9 @@ class TestLineKernel:
         seed=st.integers(0, 2**32 - 1),
         weighted=st.booleans(),
     )
+    # An intercept of -9.1e-6 from values near 8.7: lstsq's intercept is 2.0e-10 off the exact
+    # one, the kernel's 2.7e-11, so the line is checked against exact rational sums.
+    @example(n=19, decades=0, shift=-6.575030055992318, seed=19, weighted=False)
     def test_matches_lstsq_oracle(self, n, decades, shift, seed, weighted):
         # Years spread over +-10**decades around shift * 10**decades, up to 1.1e308 in size.
         rng = np.random.default_rng(seed)
@@ -255,21 +280,26 @@ class TestLineKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             line = _line_sse(t, z, w)
-        # Oracle: least squares on sqrt(w)-scaled rows. The year column is scaled by an
-        # exact power of two, or lstsq's rank cutoff drops the intercept column.
-        e = int(np.frexp(np.abs(t).max())[1])
-        design = np.sqrt(w)[:, None] * np.column_stack([np.ones(n), np.ldexp(t, -e)])
-        rhs = np.sqrt(w) * z
-        coef = np.linalg.lstsq(design, rhs, rcond=None)[0]
-        assert line.intercept == pytest.approx(coef[0], rel=1e-10, abs=0.0)
-        assert line.slope == pytest.approx(np.ldexp(coef[1], -e), rel=1e-10, abs=0.0)
-        sse = float(((rhs - design @ coef) ** 2).sum())
-        assert line.sse == pytest.approx(sse, rel=1e-10, abs=0.0)
+        # Oracle: the weighted least-squares line and its sse in exact rational arithmetic.
+        tq, zq, wq = ([Fraction(v) for v in a.tolist()] for a in (t, z, w))
+        sw = sum(wq)
+        tm = sum(wi * ti for wi, ti in zip(wq, tq)) / sw
+        zm = sum(wi * zi for wi, zi in zip(wq, zq)) / sw
+        slope = sum(wi * (ti - tm) * (zi - zm) for wi, ti, zi in zip(wq, tq, zq)) / sum(
+            wi * (ti - tm) ** 2 for wi, ti in zip(wq, tq))
+        intercept = zm - slope * tm
+        sse = sum(wi * (zi - intercept - slope * ti) ** 2 for wi, ti, zi in zip(wq, tq, zq))
+        assert line.intercept == pytest.approx(float(intercept), rel=1e-10, abs=0.0)
+        assert line.slope == pytest.approx(float(slope), rel=1e-10, abs=0.0)
+        assert line.sse == pytest.approx(float(sse), rel=1e-10, abs=0.0)
         assert line.sse == float((w * line.residuals**2).sum())
         assert line.sw == w.sum()
+        e = int(np.frexp(np.abs(t).max())[1])
         assert line.t_scale == e
         # The (intercept, slope) covariance in the scaled years, from the kernel's sums alone,
-        # is the oracle's sigma**2 * inv(D'D), to 1e-10 of its largest entry.
+        # is the oracle's sigma**2 * inv(D'D), to 1e-10 of its largest entry; D's year column
+        # is scaled by the same exact power of two, so D'D stays in range.
+        design = np.sqrt(w)[:, None] * np.column_stack([np.ones(n), np.ldexp(t, -e)])
         t_mean, sxx = line.t_mean, line.sxx
         sums = [[1.0 / line.sw + t_mean**2 / sxx, -t_mean / sxx], [-t_mean / sxx, 1.0 / sxx]]
         cov = line.sse / (n - 2) * np.array(sums)
@@ -282,8 +312,15 @@ class TestFitRatio:
         rfit = fit_ratio(noiseless(F_PARAMS, name="f"), noiseless(G_PARAMS, name="g"))
         assert rfit.model.modulation_constant == pytest.approx(3.25e-4, rel=1e-8)
         assert classify_shape(rfit.model) is Shape.ESCALATING
-        np.testing.assert_allclose(rfit.residuals, 0.0, atol=1e-12)
+        np.testing.assert_allclose(rfit.observed_ratio - rfit.predicted_ratio, 0.0, atol=1e-12)
         assert rfit.common_years.size == SAMPLE_YEARS.size
+
+    def test_fields(self):
+        # The residuals are observed_ratio - predicted_ratio; no field restates them.
+        assert [f.name for f in dataclasses.fields(RatioFit)] == [
+            "model", "numerator_fit", "denominator_fit", "common_years", "observed_ratio",
+            "predicted_ratio",
+        ]
 
     def test_identical_series_is_constant(self):
         series = noiseless(F_PARAMS)
@@ -315,7 +352,7 @@ class TestFitRatio:
         assert 3.0 < rfit.model.domain_end < 4.0
         np.testing.assert_array_equal(rfit.common_years, [0.0, 1.0, 2.0, 3.0])
         np.testing.assert_array_equal(rfit.observed_ratio, self.N5.values[:4] / den.values[:4])
-        assert rfit.predicted_ratio.size == rfit.residuals.size == 4
+        assert rfit.predicted_ratio.size == (rfit.observed_ratio - rfit.predicted_ratio).size == 4
 
     @pytest.mark.parametrize("scale", [1e-200, 1e300])
     def test_modulation_terms_outside_float64_refused(self, scale):
