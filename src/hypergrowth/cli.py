@@ -100,7 +100,7 @@ def _fit_summary(fit: HyperbolicFit) -> dict:
         "k": fit.params.k,
         "t_s": fit.t_s,
         "rmse_reciprocal": float(np.ldexp(np.sqrt(line.sse / line.sw), -fit.value_scale)),
-        "r_squared_reciprocal": 1.0 - line.sse / line.sst if line.sst > 0 else 1.0,
+        "r_squared_reciprocal": 1.0 - line.sse / line.sst,
         "n_points": len(line.residuals),
         "weighting": fit.weighting,
     }
@@ -147,7 +147,7 @@ def _print(text: str) -> None:
 
 def _load_series(path: str, args) -> TimeSeries:
     series = parse_csv(path, year_col=args.year_col, value_col=args.value_col)
-    if getattr(args, "window", None):  # downsample has no --window
+    if args.window:
         series = series.restrict(*args.window)
     return series
 
@@ -222,10 +222,7 @@ def cmd_diagnose(args) -> tuple[dict, dict]:
     grad = gradient_curve(model, grid)
     rate = growth_rate_curve(model, grid)
     curves = {"gradient_curve": grad, "growth_rate_curve": rate}
-    monotonicity = {
-        label: dataclasses.asdict(monotonicity_check(curve))
-        for label, curve in (("gradient", grad), ("growth_rate", rate))
-    }
+    monotonicity = {c.quantity: dataclasses.asdict(monotonicity_check(c)) for c in (grad, rate)}
     if args.levels:
         grad_vs, rate_vs = curves_vs_size(model, args.levels)
         curves.update(gradient_vs_size=grad_vs, growth_rate_vs_size=rate_vs)
@@ -391,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_SEED, default=0, help="noise RNG seed")
     p.add_argument("--out", default=None, help="output CSV path")
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, window=None)
 
     p = sub.add_parser("downsample", help="subset a series to selected years")
     p.add_argument("input", help="input CSV file")
     p.add_argument("--years", nargs="+", type=_FINITE, required=True, help="years to keep")
     p.add_argument("--out", default=None, help="output CSV path")
     _add_common(p)
-    p.set_defaults(func=cmd_downsample)
+    p.set_defaults(func=cmd_downsample, window=None)
 
     return parser
 
@@ -406,22 +403,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_args(parser: argparse.ArgumentParser, args) -> None:
     models = [("--a/--k", "a", "k")] if args.command == "synth" else []
     if args.command == "diagnose":
-        params_given = [args.f_a, args.f_k, args.g_a, args.g_k]
-        if args.gdp is not None or args.pop is not None:
-            if args.gdp is None or args.pop is None:
-                parser.error("--gdp and --pop must be given together")
-            if any(v is not None for v in params_given):
-                parser.error("give either --gdp/--pop or explicit --f-a/--f-k/--g-a/--g-k")
-            stems = [Path(p).stem for p in (args.gdp, args.pop, args.series) if p is not None]
-            if len(set(stems)) < len(stems):  # each stem keys one series' break_tests entry
-                parser.error(f"--gdp, --pop and --series share a file stem: {', '.join(stems)}")
-        elif any(v is None for v in params_given):
+        given = [v is not None for v in (args.f_a, args.f_k, args.g_a, args.g_k)]
+        if (args.gdp is None) != (args.pop is None):
+            parser.error("--gdp and --pop must be given together")
+        elif args.gdp is None and not all(given):
             parser.error("need --gdp/--pop or all of --f-a, --f-k, --g-a, --g-k")
-        else:
+        elif args.gdp is None:
             models = [("--f-a/--f-k", "f_a", "f_k"), ("--g-a/--g-k", "g_a", "g_k")]
+        elif any(given):
+            parser.error("give either --gdp/--pop or explicit --f-a/--f-k/--g-a/--g-k")
+        stems = [Path(p).stem for p in (args.gdp, args.pop, args.series) if p is not None]
+        if len(set(stems)) < len(stems):  # each stem keys one series' break_tests entry
+            parser.error(f"--gdp, --pop and --series share a file stem: {', '.join(stems)}")
     if args.command == "synth" and args.stop < args.start:
         parser.error(f"--to {_exact(args.stop)} is before --from {_exact(args.start)}")
-    if getattr(args, "window", None) and args.window[1] < args.window[0]:
+    if args.window and args.window[1] < args.window[0]:
         parser.error(f"--window HI {_exact(args.window[1])} is below LO {_exact(args.window[0])}")
     if args.year_col == args.value_col:
         parser.error(f"--year-col and --value-col are both {args.year_col!r}")

@@ -918,6 +918,8 @@ FAILURES = [
      ADDRESS_SPACE_64),
 ]
 
+BAD_PARAMS = "need finite positive a, k and a/k, got a=1e+300, k=1e-10"
+
 USAGE_ERRORS = [
     ["frobnicate"],
     ["synth", "--a", "4.5"],
@@ -1117,13 +1119,37 @@ class TestEveryFailurePath:
         assert captured.err.startswith("usage:")
         assert list(work.iterdir()) == []
 
-    # These two exited 2 with a JSON error before --step and --to/--from were parse-time rules.
     @pytest.mark.parametrize("argv, message", [
+        # These two exited 2 with a JSON error before --step and --to/--from were parse-time rules.
         ([*SYNTH_F, "--step", "0"], "argument --step: must be positive and finite, got 0"),
         ([*SYNTH_F, "--to", "-100"], "--to -100 is before --from 0"),
-    ], ids=["synth_step_zero", "synth_to_before_from"])
-    def test_synth_grid_rule_is_usage_error(self, tmp_path, capsys, monkeypatch, inputs, argv,
-                                            message):
+        # A model error names the flags that gave the model.
+        ([*SYNTH_F, "--a", "1e300", "--k", "1e-10"], f"--a/--k: {BAD_PARAMS}"),
+        (["diagnose", "--f-a", "1e300", "--f-k", "1e-10", "--g-a", "7", "--g-k", "3.35e-3",
+          "--candidates"], f"--f-a/--f-k: {BAD_PARAMS}"),
+        (["diagnose", "--f-a", "4.5", "--f-k", "2.2e-3", "--g-a", "1e300", "--g-k", "1e-10",
+          "--candidates"], f"--g-a/--g-k: {BAD_PARAMS}"),
+        (["diagnose", "--f-a", "1e200", "--f-k", "1e200", "--g-a", "1e200", "--g-k", "1",
+          "--candidates"],
+         "--f-a/--f-k/--g-a/--g-k: need normal floats k_f*a_g and k_g*a_f, got inf and 1e+200"),
+        # Two faults each: the rule checked first reports.
+        (["fit", "{f}", "--window", "2000", "500", "--year-col", "v", "--value-col", "v"],
+         "--window HI 500 is below LO 2000"),
+        ([*SYNTH_F, "--a", "1e300", "--k", "1e-10", "--to", "-100"],
+         "--to -100 is before --from 0"),
+        ([*SYNTH_F, "--a", "1e300", "--k", "1e-10", "--year-col", "v", "--value-col", "v"],
+         "--year-col and --value-col are both 'v'"),
+        (["diagnose", "--gdp", "{f}", "--f-a", "4.5"], "--gdp and --pop must be given together"),
+        (["diagnose", "--gdp", "{f}", "--pop", "{g}", "--f-a", "4.5", "--window", "2000", "500"],
+         "give either --gdp/--pop or explicit --f-a/--f-k/--g-a/--g-k"),
+        (["diagnose", "--f-a", "4.5", "--window", "2000", "500"],
+         "need --gdp/--pop or all of --f-a, --f-k, --g-a, --g-k"),
+    ], ids=["synth_step_zero", "synth_to_before_from", "synth_model", "diagnose_f_model",
+            "diagnose_g_model", "diagnose_ratio_model", "window_before_columns",
+            "to_before_model", "columns_before_model", "gdp_pop_before_params",
+            "params_conflict_before_window", "params_missing_before_window"])
+    def test_usage_error_message_is_exact(self, tmp_path, capsys, monkeypatch, inputs, argv,
+                                          message):
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)

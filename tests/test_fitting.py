@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import warnings
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypergrowth import (
     DomainError,
     FitRejectedError,
+    HypergrowthError,
     InsufficientDataError,
     RatioFit,
     Shape,
@@ -218,6 +220,27 @@ class TestFitHyperbolic:
         assert str(info.value) == (
             f"series 'pair': every value is {values[0]:g}; data is not hyperbolic-growth-shaped")
 
+    @settings(max_examples=200)
+    @given(
+        exponent=st.floats(-300.0, 300.0),
+        points=st.lists(st.tuples(st.integers(-3000, 3000), st.integers(-4, 4)), min_size=3,
+                        max_size=12, unique_by=lambda p: p[0]),
+        weighting=st.sampled_from(WEIGHTINGS),
+    )
+    def test_every_accepted_fit_has_positive_sst(self, exponent, points, weighting):
+        # Values a few ulps apart: a fit is refused, or its reciprocals are not all equal, so
+        # their total sum of squares is positive and r_squared_reciprocal is 1 - sse/sst.
+        center = 10.0**exponent
+        years, ulps = zip(*sorted(points))
+        values = center + np.array(ulps) * np.spacing(center)
+        series = TimeSeries(np.array(years, float), values, name="near_constant")
+        try:
+            fit = fit_hyperbolic(series, weighting)
+        except HypergrowthError:
+            return
+        assert fit.line.sst > 0
+        assert np.isfinite(_fit_summary(fit)["r_squared_reciprocal"])
+
     @pytest.mark.filterwarnings("error")
     def test_rejects_singularity_time_that_overflows(self):
         # a and k are finite and positive, but t_s = a/k overflows float64.
@@ -267,6 +290,9 @@ class TestLineKernel:
     # An intercept of -9.1e-6 from values near 8.7: lstsq's intercept is 2.0e-10 off the exact
     # one, the kernel's 2.7e-11, so the line is checked against exact rational sums.
     @example(n=19, decades=0, shift=-6.575030055992318, seed=19, weighted=False)
+    # Residuals about 1e-5 of the reciprocals: rounding each residual alone puts the sse
+    # 1.35e-10 of itself from the exact one.
+    @example(n=3, decades=0, shift=10.0, seed=1953561, weighted=True)
     def test_matches_lstsq_oracle(self, n, decades, shift, seed, weighted):
         # Years spread over +-10**decades around shift * 10**decades, up to 1.1e308 in size.
         rng = np.random.default_rng(seed)
@@ -289,9 +315,18 @@ class TestLineKernel:
             wi * (ti - tm) ** 2 for wi, ti in zip(wq, tq))
         intercept = zm - slope * tm
         sse = sum(wi * (zi - intercept - slope * ti) ** 2 for wi, ti, zi in zip(wq, tq, zq))
-        assert line.intercept == pytest.approx(float(intercept), rel=1e-10, abs=0.0)
+        # Beyond rel 1e-10, a margin for rounding each term at 16 ulps of its size: the
+        # intercept's terms are zm and slope*tm; residual i's are z_i, the intercept and
+        # slope*t_i, whose sizes add to s_i, and Cauchy-Schwarz bounds their effect on the sse.
+        ulps = 16 * 2.0**-53
+        sws2 = float(sum(wi * (abs(zi) + abs(intercept) + abs(slope * ti)) ** 2
+                         for wi, ti, zi in zip(wq, tq, zq)))
+        exact_sse = float(sse)
+        assert abs(line.intercept - float(intercept)) <= (
+            1e-10 * abs(float(intercept)) + ulps * float(abs(zm) + abs(slope * tm)))
         assert line.slope == pytest.approx(float(slope), rel=1e-10, abs=0.0)
-        assert line.sse == pytest.approx(float(sse), rel=1e-10, abs=0.0)
+        assert abs(line.sse - exact_sse) <= (
+            1e-10 * exact_sse + ulps * 2 * math.sqrt(exact_sse * sws2) + ulps**2 * sws2)
         assert line.sse == float((w * line.residuals**2).sum())
         assert line.sw == w.sum()
         e = int(np.frexp(np.abs(t).max())[1])
