@@ -44,7 +44,7 @@ from .ingest import json_table, parse_csv, synthesize, write_columns, write_csv
 from .ratio import RatioModel, classify_shape, eval_ratio, make_ratio
 from .series import TimeSeries, _exact
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +102,6 @@ def _fit_summary(fit: HyperbolicFit) -> dict:
         "rmse_reciprocal": float(np.ldexp(np.sqrt(line.sse / line.sw), -fit.value_scale)),
         "r_squared_reciprocal": 1.0 - line.sse / line.sst,
         "n_points": len(line.residuals),
-        "weighting": fit.weighting,
     }
 
 
@@ -179,7 +178,6 @@ def cmd_fit(args) -> tuple[dict, dict]:
     return {
         "series": {
             "name": series.name,
-            "n_points": len(series),
             "year_range": [float(series.years[0]), float(series.years[-1])],
         },
         "fit": _fit_summary(fit),
@@ -231,13 +229,10 @@ def cmd_diagnose(args) -> tuple[dict, dict]:
             TimeSeries(years=rfit.common_years, values=rfit.observed_ratio, name="observed ratio")
         )
 
-    candidates = (
-        list(DEFAULT_BREAK_CANDIDATES) if args.candidates is None else args.candidates
-    )
     break_tests = {
         target.name: [
             dataclasses.asdict(entry)
-            for entry in takeoff_scan(target, candidates, alpha=args.alpha)
+            for entry in takeoff_scan(target, args.candidates, alpha=args.alpha)
         ]
         for target in break_targets
     }
@@ -246,11 +241,7 @@ def cmd_diagnose(args) -> tuple[dict, dict]:
         "fits": fits,
         "monotonicity": monotonicity,
         "break_tests": break_tests,
-        "metadata": {
-            "industrial_revolution_window": list(INDUSTRIAL_REVOLUTION_WINDOW),
-            "break_candidates": [float(c) for c in candidates],
-            "alpha": args.alpha,
-        },
+        "metadata": {"industrial_revolution_window": list(INDUSTRIAL_REVOLUTION_WINDOW)},
     }
     return sections, {stem: _curve_table(stem, curve) for stem, curve in curves.items()}
 
@@ -365,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-k", type=_POSITIVE, default=None, help="denominator slope")
     p.add_argument("--series", default=None, help="extra CSV to scan for structural breaks")
     years = " ".join(map("{:g}".format, DEFAULT_BREAK_CANDIDATES))
-    p.add_argument("--candidates", nargs="*", type=_FINITE, default=None,
+    p.add_argument("--candidates", nargs="*", type=_FINITE, default=list(DEFAULT_BREAK_CANDIDATES),
                    help=f"candidate break years (default: {years}; pass no values to skip)")
     p.add_argument("--alpha", type=_ALPHA, default=0.05, help="break-test significance")
     p.add_argument(
@@ -438,10 +429,10 @@ def main(argv=None) -> int:
 
     Commands only compute; this is the one place that writes, so a failed
     command writes nothing: a series to ``--out``, or each table and then the
-    report, in one envelope (``schema_version``, ``command``, resolved
-    ``config``), to ``<command>_report.json`` and stdout. A data error or a
-    grid too big to allocate (MemoryError) exits 2, a domain error 3, each
-    with one error JSON. A closed stdout exits 2, files kept.
+    report, in one envelope (``schema_version``, ``command``, and ``config``,
+    every other resolved flag), to ``<command>_report.json`` and stdout. A
+    data error or a grid too big to allocate (MemoryError) exits 2, a domain
+    error 3, each with one error JSON. A closed stdout exits 2, files kept.
     """
     if argv is None:  # run as a program: collections and exit skip the import-time heap
         gc.freeze()
@@ -461,7 +452,7 @@ def main(argv=None) -> int:
         else:
             sections, tables = result
             artifacts = {key: _write_table(out, *t, args.format) for key, t in tables.items()}
-            config = {k: v for k, v in vars(args).items() if k not in ("func", "model")}
+            config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "model")}
             report = {"schema_version": SCHEMA_VERSION, "command": args.command,
                       "config": config, **sections, "artifacts": artifacts}
             text = json.dumps(report, indent=2, sort_keys=True)

@@ -72,9 +72,8 @@ class MonotonicityResult:
 
 @dataclass(frozen=True)
 class BreakTestResult:
-    """Single-line vs two-segment comparison at one candidate break year."""
+    """Single-line vs two-segment comparison at one break year, which the caller holds."""
 
-    break_year: float
     sse_single: float
     sse_segmented: float
     f_statistic: float
@@ -242,7 +241,6 @@ def break_test(series: TimeSeries, break_year: float, alpha: float = 0.05) -> Br
     sse_single, sse_segmented = unscaled.tolist()
     p_value = f_survival(f_stat, q, df_den)
     return BreakTestResult(
-        break_year=float(break_year),
         sse_single=sse_single,
         sse_segmented=sse_segmented,
         f_statistic=float(f_stat),

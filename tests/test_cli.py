@@ -106,7 +106,7 @@ class TestFit:
         code, out = run_cli(capsys, "fit", str(data), "--out-dir", str(tmp_path))
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["fit"]["a"] == pytest.approx(4.5, rel=1e-10)
         assert report["fit"]["k"] == pytest.approx(2.2e-3, rel=1e-10)
         assert report["fit"]["t_s"] == pytest.approx(2045.4545454545455, rel=1e-9)
@@ -320,9 +320,10 @@ class TestDiagnose:
         report = json.loads(out)
         assert report["fits"]["numerator"]["a"] == pytest.approx(4.5, rel=1e-9)
         assert report["fits"]["denominator"]["a"] == pytest.approx(7.0, rel=1e-9)
+        assert report["config"]["candidates"] == [1750.0, 1870.0]
         assert set(report["break_tests"]) == {"f", "g"}
         for scans in report["break_tests"].values():
-            assert [s["candidate_year"] for s in scans] == [1750.0, 1870.0]
+            assert [s["candidate_year"] for s in scans] == report["config"]["candidates"]
             for scan in scans:
                 assert scan["result"]["decision"] == "no_break"
                 assert scan["result"]["p_value"] == 1.0
@@ -345,6 +346,7 @@ class TestDiagnose:
         )
         assert code == 0
         report = json.loads(out)
+        assert report["config"]["candidates"] == []
         assert all(scans == [] for scans in report["break_tests"].values())
 
     def test_extra_series_scanned(self, tmp_path, capsys):
@@ -531,7 +533,7 @@ class TestInputFileErrors:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.err == ""
-        assert json.loads(captured.out)["series"]["n_points"] == 20
+        assert json.loads(captured.out)["fit"]["n_points"] == 20
 
 
     def test_non_utf8_file(self, tmp_path, capsys):

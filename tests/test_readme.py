@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hypergrowth import Monotonicity, Shape
-from hypergrowth.cli import main
+from hypergrowth.cli import SCHEMA_VERSION, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -62,3 +62,8 @@ def test_cli_block(tmp_path, monkeypatch, capsys):
             commands, named = commands + 1, []
     capsys.readouterr()
     assert commands == 7
+
+
+def test_report_schema_version():
+    """The report envelope the README describes carries the version the CLI writes."""
+    assert f"`schema_version` (currently {SCHEMA_VERSION})" in README.read_text(encoding="utf-8")
