@@ -406,6 +406,9 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
         stems = [Path(p).stem for p in (args.gdp, args.pop, args.series) if p is not None]
         if len(set(stems)) < len(stems):  # each stem keys one series' break_tests entry
             parser.error(f"--gdp, --pop and --series share a file stem: {', '.join(stems)}")
+        if len(set(args.candidates)) < len(args.candidates):  # a year is one test per series
+            repeat = next(c for i, c in enumerate(args.candidates) if c in args.candidates[:i])
+            parser.error(f"--candidates repeats {_exact(repeat)}")
     if args.command == "synth" and args.stop < args.start:
         parser.error(f"--to {_exact(args.stop)} is before --from {_exact(args.start)}")
     if args.window and args.window[1] < args.window[0]:

@@ -1146,10 +1146,14 @@ class TestEveryFailurePath:
          "give either --gdp/--pop or explicit --f-a/--f-k/--g-a/--g-k"),
         (["diagnose", "--f-a", "4.5", "--window", "2000", "500"],
          "need --gdp/--pop or all of --f-a, --f-k, --g-a, --g-k"),
+        # A repeated year would report the same break test twice for each series.
+        (["diagnose", "--gdp", "{f}", "--pop", "{g}", "--candidates", "1750", "1750"],
+         "--candidates repeats 1750"),
     ], ids=["synth_step_zero", "synth_to_before_from", "synth_model", "diagnose_f_model",
             "diagnose_g_model", "diagnose_ratio_model", "window_before_columns",
             "to_before_model", "columns_before_model", "gdp_pop_before_params",
-            "params_conflict_before_window", "params_missing_before_window"])
+            "params_conflict_before_window", "params_missing_before_window",
+            "candidates_repeat"])
     def test_usage_error_message_is_exact(self, tmp_path, capsys, monkeypatch, inputs, argv,
                                           message):
         work = tmp_path / "work"

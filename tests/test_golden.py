@@ -3,8 +3,11 @@
 Each case runs ``hypergrowth.cli.main`` in process inside a scratch
 directory with relative paths only, so reports embed no absolute paths.
 Every file the cases leave behind, plus each case's exit code and stdout,
-must equal the files under ``tests/golden/``. To regenerate them from a
-commit whose output is trusted:
+must equal the files under ``tests/golden/``. A case that writes a report
+(``<out-dir>/<command>_report.json``) must print exactly that file's bytes,
+so its ``<case>.stdout`` golden holds only the exit line and the report is
+stored once. To regenerate the goldens from a commit whose output is
+trusted (it stops, writing nothing, if a printout differs from its report):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -27,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergrowth import TimeSeries, write_csv
-from hypergrowth.cli import _write_table, main
+from hypergrowth.cli import _print, _write_table, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,14 +88,23 @@ def _tree(root: Path) -> dict[str, bytes]:
 
 
 def run_cli_cases() -> dict[str, bytes]:
-    """Run every CLI case in the current directory; return all outputs by name."""
+    """Run every CLI case in the current directory; return all outputs by name.
+
+    A case that leaves a report must have printed exactly its bytes; its
+    ``.stdout`` output is then the exit line alone, as the report is kept.
+    """
     Path("bad.csv").write_text("year,value\n1,1\n2,oops\n", encoding="utf-8")
     outputs = {}
     for name, argv in CLI_CASES:
         stdout = io.TextIOWrapper(io.BytesIO())  # the CLI writes bytes to its buffer
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
-        outputs[f"{name}.stdout"] = f"exit {code}\n".encode() + stdout.buffer.getvalue()
+        printed = stdout.buffer.getvalue()
+        report = Path(dict(zip(argv, argv[1:])).get("--out-dir", ".")) / f"{argv[0]}_report.json"
+        if report.is_file():
+            assert printed == report.read_bytes(), f"{name}: stdout differs from {report}"
+            printed = b""
+        outputs[f"{name}.stdout"] = f"exit {code}\n".encode() + printed
     outputs.update(_tree(Path(".")))
     return outputs
 
@@ -128,6 +140,14 @@ def _assert_matches(actual: dict[str, bytes], golden_dir: Path) -> None:
 def test_cli_outputs_match_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _assert_matches(run_cli_cases(), GOLDEN / "cli")
+
+
+def test_report_printout_must_equal_report_file(tmp_path, monkeypatch):
+    """One trailing space in the printout fails the first report case, which names itself."""
+    monkeypatch.setattr("hypergrowth.cli._print", lambda text: _print(text + " "))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(AssertionError, match=r"^fit: stdout differs from fit/fit_report\.json"):
+        run_cli_cases()
 
 
 def test_edge_values_match_golden(tmp_path, monkeypatch):
