@@ -430,12 +430,12 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
 def main(argv=None) -> int:
     """Run one subcommand in its ``--out-dir``; returns the exit code.
 
-    Commands only compute; this is the one place that writes, so a failed
-    command writes nothing: a series to ``--out``, or each table and then the
-    report, in one envelope (``schema_version``, ``command``, and ``config``,
-    every other resolved flag), to ``<command>_report.json`` and stdout. A
-    data error or a grid too big to allocate (MemoryError) exits 2, a domain
-    error 3, each with one error JSON. A closed stdout exits 2, files kept.
+    Commands only compute; this is the one place that writes, so a failed command
+    writes nothing, not even ``--out-dir``: a series to ``--out``, or each table and
+    then the report, in one envelope (``schema_version``, ``command``, and ``config``,
+    every other resolved flag), to ``<command>_report.json`` and stdout. A data error
+    or a grid too big to allocate (MemoryError) exits 2, a domain error 3, each with
+    one error JSON. A closed stdout exits 2, files kept.
     """
     if argv is None:  # run as a program: collections and exit skip the import-time heap
         gc.freeze()
@@ -446,9 +446,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        code, result = EXIT_OK, args.func(args)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        code, result = EXIT_OK, args.func(args)
         if args.command in SERIES_FILES:
             text = str(Path(args.out) if args.out else out / SERIES_FILES[args.command])
             write_csv(result, text, year_col=args.year_col, value_col=args.value_col)

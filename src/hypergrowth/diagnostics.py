@@ -23,7 +23,7 @@ from .errors import HypergrowthError, InsufficientDataError, UnrepresentableErro
 from .fitting import _line_sse, _reciprocal
 from .ratio import RatioModel, Shape, classify_shape, time_at_ratio
 from .ratio import ratio_gradient, ratio_growth_rate
-from .series import TimeSeries, _first_fault, _frozen_array, _in_normal_range
+from .series import TimeSeries, _freeze_and_check, _in_normal_range
 
 #: Candidate regime-boundary years commonly claimed in the growth literature.
 DEFAULT_BREAK_CANDIDATES = (1750.0, 1870.0)
@@ -53,12 +53,8 @@ class DiagnosticsCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        x, values = _frozen_array(self.x), _frozen_array(self.values)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", values)
-        fault = _first_fault(x, values, self.x_name, positive=False)
-        if fault is not None:
-            raise ValidationError(f"ratio {self.quantity} curve: {fault[1]}")
+        _freeze_and_check(self, "x", f"ratio {self.quantity} curve",
+                          x_name=self.x_name, positive=False)
 
     def __len__(self) -> int:
         return self.x.size

@@ -2,7 +2,7 @@
 
 Years are continuous real numbers (AD era, fractional years allowed) and
 must be finite and strictly increasing; values must be positive and finite.
-Instances are immutable: the backing arrays are copied and marked read-only.
+Instances are immutable: ``_freeze_and_check`` copies their arrays read-only.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-
-
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(-1)
-    arr.flags.writeable = False
-    return arr
 
 
 def _first_fault(
@@ -50,6 +44,18 @@ def _first_fault(
     return None
 
 
+def _freeze_and_check(record, x_field: str, label: str, **rule) -> None:
+    """Set an array record's abscissa ``x_field`` and ``values`` to read-only float64 copies,
+    then raise ``ValidationError`` naming ``label`` if they break ``_first_fault``'s ``rule``."""
+    for field in (x_field, "values"):
+        arr = np.array(getattr(record, field), dtype=float).reshape(-1)
+        arr.flags.writeable = False
+        object.__setattr__(record, field, arr)
+    fault = _first_fault(getattr(record, x_field), record.values, **rule)
+    if fault is not None:
+        raise ValidationError(f"{label}: {fault[1]}")
+
+
 def _exact(x: float) -> str:
     """``x`` as ``:g`` prints it when that reads back as ``x``, else with ``repr``'s digits."""
     return format(x, "g") if float(format(x, "g")) == x else repr(float(x))
@@ -74,13 +80,7 @@ class TimeSeries:
     name: str = ""
 
     def __post_init__(self):
-        years = _frozen_array(self.years)
-        values = _frozen_array(self.values)
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "values", values)
-        fault = _first_fault(years, values)
-        if fault is not None:
-            raise ValidationError(f"series {self.name!r}: {fault[1]}")
+        _freeze_and_check(self, "years", f"series {self.name!r}")
 
     def __len__(self) -> int:
         return self.years.size

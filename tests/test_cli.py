@@ -898,6 +898,9 @@ FAILURES = [
                            "--g-k", "5e6", "--candidates"], 2, "ValidationError"),
     ("levels_span_float64", ["diagnose", *F_G_PARAMS, "--levels", "-1e308", "1e308"],
      3, "NoSolutionError"),
+    # A repeated level is refused by the curve it would repeat a row of, not by the parser.
+    ("levels_repeat", ["diagnose", "--gdp", "{f}", "--pop", "{g}", "--levels", "1.6", "1.6"],
+     2, "ValidationError"),
     # Both series and C fit, but their quotient, about 1e600 or 1e-600, does not.
     ("ratio_quotient_overflow", ["ratio", "{hi}", "{lo}"], 2, "UnrepresentableError"),
     ("diagnose_quotient_overflow", ["diagnose", "--gdp", "{hi}", "--pop", "{lo}", "--candidates"],
@@ -1088,13 +1091,14 @@ class TestEveryFailurePath:
         assert sorted(payload["error"]) == ["exit_code", "message", "type"]
         assert payload["error"]["type"] == error_type
         assert payload["error"]["exit_code"] == exit_code
-        if not own_out_dir:  # every check runs before any file is written
-            assert list((tmp_path / "out").iterdir()) == []
+        if not own_out_dir:  # every check runs before anything is written, --out-dir too
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case, message", [
         ("ratio_value_underflow", "ratio value 0 at year 2000 underflows float64"),
         ("level_gradient_underflow", "ratio gradient 2e-310 at ratio_size 0.50001 underflows"),
         ("level_root_overflow", "level 0.5000000000000001 has no representable crossing time"),
+        ("levels_repeat", "ratio gradient curve: duplicate ratio_size 1.6"),
     ])
     def test_model_curve_refusal_names_its_value(self, tmp_path, capsys, inputs, case, message):
         argv = {c[0]: c[1] for c in FAILURES}[case]

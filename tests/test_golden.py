@@ -92,6 +92,7 @@ def run_cli_cases() -> dict[str, bytes]:
 
     A case that leaves a report must have printed exactly its bytes; its
     ``.stdout`` output is then the exit line alone, as the report is kept.
+    A case that fails must leave no ``--out-dir``.
     """
     Path("bad.csv").write_text("year,value\n1,1\n2,oops\n", encoding="utf-8")
     outputs = {}
@@ -100,7 +101,9 @@ def run_cli_cases() -> dict[str, bytes]:
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
         printed = stdout.buffer.getvalue()
-        report = Path(dict(zip(argv, argv[1:])).get("--out-dir", ".")) / f"{argv[0]}_report.json"
+        out_dir = Path(dict(zip(argv, argv[1:])).get("--out-dir", "."))
+        assert code == 0 or not out_dir.exists(), f"{name}: exit {code} left {out_dir}"
+        report = out_dir / f"{argv[0]}_report.json"
         if report.is_file():
             assert printed == report.read_bytes(), f"{name}: stdout differs from {report}"
             printed = b""
